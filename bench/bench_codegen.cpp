@@ -203,17 +203,11 @@ int main(int argc, char** argv) {
   }
 
   // LTL lane: nested-DFS product search with engine-backed system-side
-  // successor generation (Buchi stepping stays interpreted). The lane
-  // deliberately runs the 1-car instance in BOTH modes: the product
-  // search keeps its own (unpipelined) visited probe, and on the
-  // DRAM-bound 6M-state product that probe dominates wall time and
-  // degenerates the ratio to ~1.0x for every engine -- a property of the
-  // product search's store, not of the engines this lane gates (measured:
-  // a bounded 690k-state product already drops AOT to 1.3x where the
-  // cache-resident space holds 1.5-1.7x). "G safe" holds, so every run
-  // covers the full product. (Pipelining the product probe like the
-  // section-15.4 DFS sink is the follow-up that would let this lane run
-  // the full-space product.)
+  // successor generation (Buchi stepping stays interpreted). The lane runs
+  // the cache-resident 1-car instance in BOTH modes, so its rows compare
+  // across baselines; DRAM-bound products are measured end to end by the
+  // wfbench ltl_check workload. "G safe" holds, so every run covers the
+  // full product.
   {
     BridgeConfig lcfg = cfg;
     lcfg.cars_per_side = 1;

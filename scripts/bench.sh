@@ -253,13 +253,15 @@ gate_codegen_cache() {
 # retry cannot fully cancel), >= 1.6x on the POR-reduced search, the
 # bytecode fallback >= 1.2x on those lanes, and a cold AOT compile must
 # fit the 15s budget -- compiling one specialized TU, not a project. The
+# plain-sweep bars read the threads-1 rows: the thread-sweep rows time
+# the parallel engine, whose scaling is not this gate's subject. The
 # LTL lane holds softer floors (1.35x aot / 1.10x bytecode): the product
-# search keeps interpreted per-transition work in the loop by design --
-# Buchi label evaluation, product-key encode, visited probe -- so the
-# engine's share is structurally smaller there; a quiet machine measures
-# ~1.5-1.7x aot / ~1.2-1.3x bytecode (BENCH.json records the measured
-# number; the floor is a regression tripwire, not the headline). The
-# smoke instance completes in ~30-60ms with every store cache-resident,
+# search runs the same streaming COLLAPSE pipeline as the plain sweep,
+# but Buchi label and proposition evaluation stay interpreted on every
+# product edge by design, so the engine's share is smaller there; the
+# 1-car product measured ~2.5x aot / ~1.7x bytecode on a 4-vCPU VM
+# (BENCH.json records the measured number; the floor is a regression
+# tripwire, not the headline). The smoke instance completes in ~30-60ms with every store cache-resident,
 # which both compresses the real ratio (the engines' win grows with DRAM-
 # bound probes) and amplifies timer noise, so smoke mode holds softer bars
 # across the board -- the full bars are enforced where they mean
@@ -273,10 +275,12 @@ gate_codegen_speed() {
     function speedup() {
       return substr($0, RSTART + 21, RLENGTH - 21) + 0
     }
-    /"bench": "codegen_aot"/ && match($0, /"speedup_vs_interp": [0-9.]+/) {
+    /"bench": "codegen_aot", "threads": 1,/ &&
+        match($0, /"speedup_vs_interp": [0-9.]+/) {
       aot = speedup()
     }
-    /"bench": "codegen_bytecode"/ && match($0, /"speedup_vs_interp": [0-9.]+/) {
+    /"bench": "codegen_bytecode", "threads": 1,/ &&
+        match($0, /"speedup_vs_interp": [0-9.]+/) {
       bc = speedup()
     }
     /"bench": "codegen_por_aot"/ && match($0, /"speedup_vs_interp": [0-9.]+/) {

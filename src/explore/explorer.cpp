@@ -1,7 +1,6 @@
 #include "explore/explorer.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <deque>
 #include <memory>
@@ -11,9 +10,9 @@
 
 #include "codegen/engine.h"
 #include "explore/checkpoint.h"
+#include "explore/collapse_keys.h"
 #include "explore/por.h"
 #include "explore/visited.h"
-#include "kernel/compress.h"
 #include "support/hash.h"
 #include "support/panic.h"
 #include "support/spill.h"
@@ -136,17 +135,8 @@ class FlatRun {
         opt_(opt),
         visited_(opt.bitstate, opt.bitstate_bytes, /*seed=*/0,
                  opt.bitstate ? 0 : expected_states(opt)),
-        compressor_(m.layout(), /*stripes=*/1),
+        keys_(m.layout(), opt.engine),
         stop_(stop) {
-    if (!opt.bitstate) {
-      const std::size_t n = static_cast<std::size_t>(compressor_.n_regions());
-      ids_tmp_.resize(n);
-      dirty_.resize(n);
-      if (opt.engine != nullptr && opt.engine->encode_support() && n <= 64) {
-        enc_engine_ = opt.engine;
-        region_hashes_.resize(n);
-      }
-    }
     if (opt.obs != nullptr) blk_ = opt.obs->recorder().open_block();
     if (!opt.checkpoint_path.empty() || opt.resume_from != nullptr) {
       PNP_CHECK(!opt.bitstate,
@@ -188,7 +178,7 @@ class FlatRun {
     r.stats.spilled = spilled_;
     if (spilled_)
       r.stats.spill_bytes =
-          visited_.spill_bytes() + compressor_.spill_bytes();
+          visited_.spill_bytes() + keys_.compressor().spill_bytes();
     r.stats.checkpoints_written = ckpt_written_;
     r.stats.resumed = opt_.resume_from != nullptr;
     if (blk_ != nullptr) {
@@ -200,8 +190,9 @@ class FlatRun {
                     static_cast<std::uint64_t>(max_depth_seen_));
       if (!opt_.bitstate) {
         rec.max_gauge(obs::Gauge::InternedComponents,
-                      compressor_.components());
-        rec.max_gauge(obs::Gauge::CompressorBytes, compressor_.approx_bytes());
+                      keys_.compressor().components());
+        rec.max_gauge(obs::Gauge::CompressorBytes,
+                      keys_.compressor().approx_bytes());
       }
       r.stats.approx_memory_bytes += opt_.obs->approx_bytes();
     }
@@ -357,7 +348,7 @@ class FlatRun {
     Pending& p = pend_[pend_[0].stage == 0 ? 0 : 1];
     p.step = step;
     p.key.assign(key.begin(), key.end());
-    p.ids.assign(ids_tmp_.begin(), ids_tmp_.end());
+    p.ids.assign(keys_.ids().begin(), keys_.ids().end());
     p.writes.clear();
     for (const auto& [slot, old] : scratch_.undo)
       p.writes.emplace_back(slot, ns.mem[static_cast<std::size_t>(slot)]);
@@ -417,9 +408,9 @@ class FlatRun {
     }
     sink.child = pending_state(f, p);
     sink.child_step = p.step;
-    // the frame push reads the child's region ids out of ids_tmp_, which a
-    // later candidate's compression has since overwritten
-    ids_tmp_.assign(p.ids.begin(), p.ids.end());
+    // the frame push reads the child's region ids out of keys_.ids(), which
+    // a later candidate's compression has since overwritten
+    keys_.ids().assign(p.ids.begin(), p.ids.end());
     sink.outcome = Outcome::Child;
     // a younger in-flight candidate sits exactly at the new f.next, so it
     // re-surfaces on the next pass; drop it
@@ -475,7 +466,7 @@ class FlatRun {
       Frame root;
       root.state = m_.initial();
       visited_.insert(root_key(root.state));
-      if (!opt_.bitstate) root.ids = ids_tmp_;
+      if (!opt_.bitstate) root.ids = keys_.ids();
       if (opt_.por) {
         kernel::encode_key_into(root.state, root.raw_key);
         on_stack_.insert(root.raw_key);
@@ -551,8 +542,8 @@ class FlatRun {
         case Outcome::Child: {
           Frame nf;
           nf.state = std::move(sink.child);
-          // ids_tmp_ still holds the child's ids: the pass stopped at it
-          if (!opt_.bitstate) nf.ids = ids_tmp_;
+          // keys_.ids() still holds the child's ids: the pass stopped at it
+          if (!opt_.bitstate) nf.ids = keys_.ids();
           nf.in_step = sink.child_step;
           if (opt_.por) {
             kernel::encode_key_into(nf.state, nf.raw_key);
@@ -627,7 +618,8 @@ class FlatRun {
       return true;
     }
     nodes_.push_back({State(ns),
-                      opt_.bitstate ? std::vector<std::uint32_t>() : ids_tmp_,
+                      opt_.bitstate ? std::vector<std::uint32_t>()
+                                    : keys_.ids(),
                       head, step});
     return true;
   }
@@ -660,16 +652,15 @@ class FlatRun {
       seed_resume();
       for (Checkpoint::Pending& p : seeds_) {
         BfsNode n{std::move(p.state), {}, -1, {}};
-        compressor_.compress_full(n.state, key_buf_, ids_tmp_.data());
-        ++compress_full_;
-        n.ids = ids_tmp_;
+        keys_.full(n.state);
+        n.ids = keys_.ids();
         nodes_.push_back(std::move(n));
       }
       seeds_.clear();
     } else {
       BfsNode root{m_.initial(), {}, -1, {}};
       visited_.insert(root_key(root.state));
-      if (!opt_.bitstate) root.ids = ids_tmp_;
+      if (!opt_.bitstate) root.ids = keys_.ids();
       nodes_.push_back(std::move(root));
     }
 
@@ -731,58 +722,29 @@ class FlatRun {
   /// unchanged); bitstate mode keeps hashing the raw canonical encoding --
   /// the Bloom filter's verdict depends on the exact bytes its hash
   /// functions see. Exact mode leaves the state's per-region ids in
-  /// ids_tmp_ for the caller to adopt.
+  /// keys_.ids() for the caller to adopt.
   std::span<const std::uint8_t> root_key(const State& s) {
     if (opt_.bitstate) {
       kernel::encode_key_into(s, probe_buf_);
       return byte_span(probe_buf_);
     }
-    compressor_.compress_full(s, key_buf_, ids_tmp_.data());
-    ++compress_full_;
-    return key_buf_;
+    return keys_.full(s);
   }
 
   /// Key of a successor just produced by the streaming generator, while its
-  /// undo log still describes the mutation: exact mode re-interns only the
-  /// touched regions and reuses `parent_ids` everywhere else (the COLLAPSE
-  /// delta win -- most steps dirty one or two regions out of many).
+  /// undo log still describes the mutation (see CollapseKeys::delta).
   std::span<const std::uint8_t> succ_key(
       const State& s, const std::vector<std::uint32_t>& parent_ids) {
     if (opt_.bitstate) {
       kernel::encode_key_into(s, probe_buf_);
       return byte_span(probe_buf_);
     }
-    if (enc_engine_ != nullptr) {
-      // Engine store path: the undo log folds to a region bitmask through
-      // the engine's constant slot->mask table, and each dirty region's
-      // hash comes from its open-coded layout walk (bit-exact fast_hash64,
-      // so ids and key bytes are unchanged -- see Engine::encode_support).
-      const std::uint64_t dirty = enc_engine_->dirty_regions(
-          scratch_.undo.data(), scratch_.undo.size());
-      for (std::uint64_t rest = dirty; rest != 0; rest &= rest - 1) {
-        const int k = std::countr_zero(rest);
-        region_hashes_[static_cast<std::size_t>(k)] =
-            enc_engine_->region_hash(s.mem.data(), k);
-      }
-      compressor_.compress_delta_masked(s, parent_ids.data(), dirty,
-                                        region_hashes_.data(), key_buf_,
-                                        ids_tmp_.data());
-    } else {
-      std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{0});
-      const std::vector<int>& reg = compressor_.region_of_slot();
-      for (const auto& [slot, old] : scratch_.undo)
-        dirty_[static_cast<std::size_t>(
-            reg[static_cast<std::size_t>(slot)])] = 1;
-      compressor_.compress_delta(s, parent_ids.data(), dirty_.data(), key_buf_,
-                                 ids_tmp_.data());
-    }
-    ++compress_delta_;
-    return key_buf_;
+    return keys_.delta(s, parent_ids.data(), scratch_.undo);
   }
 
   std::uint64_t store_bytes() const {
     return visited_.approx_bytes() +
-           (opt_.bitstate ? 0 : compressor_.approx_bytes());
+           (opt_.bitstate ? 0 : keys_.compressor().approx_bytes());
   }
 
   trace::Trace stack_trace(const Step* extra_step,
@@ -849,7 +811,7 @@ class FlatRun {
     try {
       spill_ = std::make_unique<support::SpillPool>(opt_.spill_dir);
       visited_.attach_spill(spill_.get());
-      compressor_.attach_spill(spill_.get());
+      keys_.compressor().attach_spill(spill_.get());
       spilled_ = true;
       if (opt_.obs != nullptr)
         opt_.obs->budget_warning("memory-spill", used,
@@ -891,7 +853,7 @@ class FlatRun {
           opt_.checkpoint_path, meta,
           [&](const StateSink& sink) {
             visited_.for_each_key([&](std::span<const std::uint8_t> key) {
-              sink(compressor_.decompress(key), 0);
+              sink(keys_.compressor().decompress(key), 0);
             });
           },
           [&](const StateSink& sink) {
@@ -925,11 +887,7 @@ class FlatRun {
   /// deterministically; the frontier lands in seeds_.
   void seed_resume() {
     const Checkpoint& c = *opt_.resume_from;
-    for (const State& s : c.visited) {
-      compressor_.compress_full(s, key_buf_, ids_tmp_.data());
-      ++compress_full_;
-      visited_.insert(key_buf_);
-    }
+    for (const State& s : c.visited) visited_.insert(keys_.full(s));
     matched_ = c.meta.states_matched;
     transitions_ = c.meta.transitions;
     ckpt_seq_ = c.meta.seq;
@@ -947,9 +905,8 @@ class FlatRun {
     Frame f;
     f.state = std::move(seeds_.back().state);
     seeds_.pop_back();
-    compressor_.compress_full(f.state, key_buf_, ids_tmp_.data());
-    ++compress_full_;
-    f.ids = ids_tmp_;
+    keys_.full(f.state);
+    f.ids = keys_.ids();
     stack_.push_back(std::move(f));
     return true;
   }
@@ -988,8 +945,8 @@ class FlatRun {
     blk_->set(obs::Counter::StatesMatched, matched_);
     blk_->set(obs::Counter::Transitions, transitions_);
     blk_->set(obs::Counter::PorAmpleSets, por_ample_);
-    blk_->set(obs::Counter::CompressFull, compress_full_);
-    blk_->set(obs::Counter::CompressDelta, compress_delta_);
+    blk_->set(obs::Counter::CompressFull, keys_.full_count());
+    blk_->set(obs::Counter::CompressDelta, keys_.delta_count());
   }
 
   std::uint64_t state_bytes() const {
@@ -1004,21 +961,14 @@ class FlatRun {
   const Machine& m_;
   const Options& opt_;
   VisitedSet visited_;
-  kernel::StateCompressor compressor_;
+  CollapseKeys keys_;  // exact-mode keys (COLLAPSE, delta from parent ids)
   const std::atomic<bool>* stop_ = nullptr;
 
   kernel::SuccScratch scratch_;
   std::vector<Frame> stack_;
   std::deque<BfsNode> nodes_;
   std::unordered_set<std::string> on_stack_;
-  std::vector<std::uint8_t> key_buf_;
-  std::vector<std::uint32_t> ids_tmp_;  // last-compressed state's region ids
   Pending pend_[2];  // engine-path probe pipeline, oldest first (DFS only)
-  std::vector<std::uint8_t> dirty_;     // per-region dirty flags (reused)
-  // Engine-specialized store path (null = generic compressor walk): set
-  // when the engine open-codes this layout's dirty-mask and region-hash.
-  const codegen::Engine* enc_engine_ = nullptr;
-  std::vector<std::uint64_t> region_hashes_;  // per-region, dirty bits only
   std::string probe_buf_;
 
   std::uint64_t matched_ = 0;
@@ -1033,8 +983,6 @@ class FlatRun {
   obs::CounterBlock* blk_ = nullptr;  // this run's telemetry slice
   std::uint64_t obs_tick_ = 0;
   std::uint64_t por_ample_ = 0;
-  std::uint64_t compress_full_ = 0;
-  std::uint64_t compress_delta_ = 0;
   bool warned_states_ = false;
   bool warned_memory_ = false;
 

@@ -106,13 +106,15 @@ class HugeZeroBuf {
 };
 
 /// Append-only arena for length-prefixed key records. Records never span a
-/// slab boundary and slabs never move, so a returned offset stays valid for
-/// the arena's lifetime.
+/// slab boundary and slabs never move, so a returned offset (and a pointer
+/// into its record) stays valid for the arena's lifetime.
 class KeyArena {
  public:
-  /// Appends `key` (2-byte length prefix + bytes) and returns its offset.
-  std::uint32_t append(std::span<const std::uint8_t> key) {
-    const std::size_t need = key.size() + 2;
+  /// Appends `key` (2-byte length prefix + bytes), followed by one zeroed
+  /// mark byte when `marked`, and returns its offset.
+  std::uint32_t append(std::span<const std::uint8_t> key,
+                       bool marked = false) {
+    const std::size_t need = key.size() + 2 + (marked ? 1 : 0);
     PNP_CHECK(key.size() <= 0xffff, "visited key exceeds 64 KiB");
     if (kSlabBytes - used_ < need) new_slab();
     const std::uint32_t off = static_cast<std::uint32_t>(
@@ -121,8 +123,16 @@ class KeyArena {
     dst[0] = static_cast<std::uint8_t>(key.size() & 0xff);
     dst[1] = static_cast<std::uint8_t>(key.size() >> 8);
     std::memcpy(dst + 2, key.data(), key.size());
+    if (marked) dst[2 + key.size()] = 0;
     used_ += need;
     return off;
+  }
+
+  /// The mark byte of the (marked) record at `off`.
+  std::uint8_t* mark(std::uint32_t off) {
+    std::uint8_t* p = slabs_[off / kSlabBytes] + off % kSlabBytes;
+    return p + 2 + (static_cast<std::size_t>(p[0]) |
+                    (static_cast<std::size_t>(p[1]) << 8));
   }
 
   std::span<const std::uint8_t> at(std::uint32_t off) const {
@@ -209,9 +219,15 @@ class KeyArena {
 /// stored short keys inline in 32-byte slots was measured slower here:
 /// linear-probe clusters span 4x the cache lines, and the 4x table defeats
 /// the TLB on kernels without transparent huge pages.)
+///
+/// A *marked* set gives every record one zeroed byte after its key, which
+/// the owner updates in place through find_or_insert -- the LTL nested DFS
+/// keeps its per-state search marks there, one store instead of one set per
+/// mark. An unmarked set's records keep the plain length-prefixed layout.
 class FlatKeySet {
  public:
-  explicit FlatKeySet(std::uint64_t expected = 0) {
+  explicit FlatKeySet(std::uint64_t expected = 0, bool marked = false)
+      : marked_(marked) {
     rehash(cap_for(expected));
   }
 
@@ -225,18 +241,16 @@ class FlatKeySet {
   /// Returns true if `key` was not present before (and records it). `h`
   /// must be the same hash function for every insert into this set.
   bool insert(std::span<const std::uint8_t> key, std::uint64_t h) {
-    if ((size_ + 1) * 10 >= cap_ * 7) grow();
-    const std::uint32_t fp = static_cast<std::uint32_t>(h);
-    std::size_t i = static_cast<std::size_t>(h) & mask_;
-    while (slots_[i].off1 != 0) {
-      if (slots_[i].fp == fp && arena_.equals(slots_[i].off1 - 1, key))
-        return false;
-      i = (i + 1) & mask_;
-    }
-    slots_[i].fp = fp;
-    slots_[i].off1 = arena_.append(key) + 1;
-    ++size_;
-    return true;
+    return find_slot(key, h).fresh;
+  }
+
+  /// Marked sets: the mark byte of `key`'s record, inserting the key with a
+  /// zeroed mark first when it is absent. The pointer stays valid for the
+  /// set's lifetime (arena records never move, growth only re-places slots).
+  std::uint8_t* find_or_insert(std::span<const std::uint8_t> key,
+                               std::uint64_t h) {
+    const std::size_t i = find_slot(key, h).slot;  // may grow slots_
+    return arena_.mark(slots_[i].off1 - 1);
   }
 
   /// Result of probe_or_insert: `fresh` means the key was definitely absent
@@ -268,9 +282,7 @@ class FlatKeySet {
       }
       i = (i + 1) & mask_;
     }
-    slots_[i].fp = fp;
-    slots_[i].off1 = arena_.append(key) + 1;
-    ++size_;
+    fill(i, key, fp);
     return {true, 0};
   }
 
@@ -354,9 +366,37 @@ class FlatKeySet {
 
   void grow() { rehash(cap_ * 2); }
 
+  struct Found {
+    std::size_t slot;
+    bool fresh;  // the key was absent and has just been inserted
+  };
+
+  /// Walks `h`'s cluster to `key`'s slot, inserting the key when absent.
+  Found find_slot(std::span<const std::uint8_t> key, std::uint64_t h) {
+    if ((size_ + 1) * 10 >= cap_ * 7) grow();
+    const std::uint32_t fp = static_cast<std::uint32_t>(h);
+    std::size_t i = static_cast<std::size_t>(h) & mask_;
+    while (slots_[i].off1 != 0) {
+      if (slots_[i].fp == fp && arena_.equals(slots_[i].off1 - 1, key))
+        return {i, false};
+      i = (i + 1) & mask_;
+    }
+    fill(i, key, fp);
+    return {i, true};
+  }
+
+  /// Stores `key` in free slot `i`.
+  void fill(std::size_t i, std::span<const std::uint8_t> key,
+            std::uint32_t fp) {
+    slots_[i].fp = fp;
+    slots_[i].off1 = arena_.append(key, marked_) + 1;
+    ++size_;
+  }
+
   HugeZeroBuf buf_;
   Slot* slots_ = nullptr;
   std::size_t cap_ = 0;
+  bool marked_ = false;
   KeyArena arena_;
   std::uint64_t size_ = 0;
   std::size_t mask_ = 0;

@@ -1,13 +1,17 @@
 #include "ltl/product.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
+#include <type_traits>
 #include <vector>
 
+#include "explore/collapse_keys.h"
+#include "explore/flat_store.h"
 #include "support/hash.h"
 #include "support/panic.h"
 
@@ -15,23 +19,34 @@ namespace pnp::ltl {
 
 namespace {
 
+using explore::TruncationReason;
 using kernel::Machine;
 using kernel::State;
 using kernel::Step;
+using kernel::Value;
 
-struct ProdSucc {
-  State state;
-  int q;
-  int copy;
-  Step step;
-  bool stutter{false};
-};
+using Undo = std::span<const std::pair<int, Value>>;
+
+/// The deadline, the memory budget and telemetry are consulted once per
+/// this many expansion passes (as in the sequential explorer).
+constexpr std::uint64_t kBudgetCheckStride = 1024;
+
+// Mark bits of a product-store record. The CVWY nested DFS needs two marks
+// per product state -- visited by the outer search, visited by an inner
+// search -- kept as bits of ONE stored key, the store of Holzmann, Peled &
+// Yannakakis, "On Nested Depth First Search"; the third bit stands in for
+// the outer search's on-stack set.
+constexpr std::uint8_t kOuter = 1;
+constexpr std::uint8_t kInner = 2;
+constexpr std::uint8_t kOnStack = 4;
+
+const Step kNoStep{};
 
 /// Deterministic Fisher-Yates driven by xorshift64*: racing workers diversify
-/// their DFS order without giving up reproducibility (the same (state, seed)
-/// always yields the same order, so regenerating a frame's successor list on
-/// stack resume sees identical indices).
-void shuffle_succs(std::vector<ProdSucc>& v, std::uint64_t seed) {
+/// their DFS order without giving up reproducibility (the same (product key,
+/// seed) always yields the same order, so every pass over a frame sees
+/// identical positions).
+void shuffle(std::vector<std::uint32_t>& v, std::uint64_t seed) {
   std::uint64_t x = seed ? seed : 0x9e3779b97f4a7c15ull;
   auto next = [&x]() {
     x ^= x >> 12;
@@ -43,6 +58,28 @@ void shuffle_succs(std::vector<ProdSucc>& v, std::uint64_t seed) {
     std::swap(v[i - 1], v[next() % i]);
 }
 
+/// Adapts `f(index, successor, step) -> keep going` to the streaming
+/// generator. Candidates are numbered from `first` (where an engine's native
+/// skip resumes) and those below `skip` are dropped (the interpreter has no
+/// native skip).
+template <class F>
+class StreamSink final : public kernel::SuccSink {
+ public:
+  StreamSink(std::uint32_t first, std::uint32_t skip, F& f)
+      : idx(first), skip_(skip), f_(f) {}
+
+  bool on_successor(const State& ns, const Step& step) override {
+    const std::uint32_t i = idx++;
+    return i < skip_ || f_(i, ns, step);
+  }
+
+  std::uint32_t idx;  // candidates enumerated so far
+
+ private:
+  std::uint32_t skip_;
+  F& f_;
+};
+
 // The product automaton of system x Buchi automaton, optionally unfolded
 // into #processes + 2 copies for weak fairness (Choueka construction,
 // as in SPIN's -f):
@@ -53,6 +90,12 @@ void shuffle_succs(std::vector<ProdSucc>& v, std::uint64_t seed) {
 //   copy N+1:     edges lead back to copy 0; these states are the accepting
 //                 set -- a cycle through copy N+1 is exactly a fair
 //                 accepting cycle.
+//
+// A product state's key is the COLLAPSE key of its system state (delta-
+// compressed from the parent's region ids, explore::CollapseKeys) followed
+// by the varint q * copies + copy. Keys live in one marked flat store whose
+// per-record mark byte carries the nested DFS's marks, so the search holds
+// no per-state heap nodes and its memory is measurable.
 class ProductSearch {
  public:
   ProductSearch(const Machine& m, const PropertyContext& ctx,
@@ -61,7 +104,10 @@ class ProductSearch {
                 std::uint64_t perm_seed = 0,
                 const std::atomic<bool>* stop = nullptr)
       : m_(m), ctx_(ctx), ba_(ba), opt_(opt), engine_(engine),
-        perm_seed_(perm_seed), stop_(stop) {
+        perm_seed_(perm_seed), stop_(stop), keys_(m.layout(), engine),
+        store_(std::min<std::uint64_t>(opt.max_states, std::uint64_t{1} << 16),
+               /*marked=*/true),
+        nr_(static_cast<std::size_t>(keys_.n_regions())) {
     PNP_CHECK(ctx.size() <= 64, "at most 64 propositions supported");
     PNP_CHECK(!opt.weak_fairness || m.n_processes() <= 62,
               "weak fairness supports at most 62 processes");
@@ -74,7 +120,7 @@ class ProductSearch {
   bool aborted() const { return aborted_; }
 
   LtlResult run() {
-    const auto t0 = std::chrono::steady_clock::now();
+    start_ = std::chrono::steady_clock::now();
     LtlResult r;
     r.buchi_states = ba_.states.size();
     r.formula_text = ba_.formula_text;
@@ -82,47 +128,393 @@ class ProductSearch {
     const State s0 = m_.initial();
     const std::uint64_t mask0 = props_mask(s0);
     bool found = false;
-    for (std::size_t q = 0; q < ba_.states.size() && !found; ++q) {
+    // A halted search leaves on-stack marks behind, so no further outer
+    // search may start over them.
+    for (std::size_t q = 0; q < ba_.states.size() && !found && !halted_; ++q) {
       if (!ba_.states[q].initial) continue;
-      if (!label_sat(ba_.states[q], mask0)) continue;
-      found = dfs1(s0, static_cast<int>(q), r);
+      if (!enters(static_cast<int>(q), mask0)) continue;
+      found = search(s0, static_cast<int>(q), r);
     }
     r.holds = !found;
-    r.stats.states_stored = visited1_.size();
+    r.stats.states_stored = n_outer_;
     r.stats.transitions = transitions_;
     r.stats.complete = complete_;
-    if (!complete_) r.stats.truncation = explore::TruncationReason::MaxStates;
+    r.stats.truncation = truncation_;
+    r.stats.store_bytes = store_bytes();
+    r.stats.approx_memory_bytes =
+        r.stats.store_bytes + stack_bytes() + observer_bytes();
     r.stats.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start_)
             .count();
     return r;
   }
 
-  /// Publishes this search's tallies into its counter block. Called by
-  /// check_ltl for the authoritative search only, so racing losers never
-  /// inflate the merged totals.
+  /// Publishes this search's tallies and store gauges. Called by check_ltl
+  /// for the authoritative search only, so racing losers never inflate the
+  /// merged totals.
   void publish_counters() {
     if (blk_ == nullptr) return;
-    blk_->set(obs::Counter::StatesStored, visited1_.size() + visited2_.size());
+    blk_->set(obs::Counter::StatesStored, n_outer_);
     blk_->set(obs::Counter::Transitions, transitions_);
+    blk_->set(obs::Counter::CompressFull, keys_.full_count());
+    blk_->set(obs::Counter::CompressDelta, keys_.delta_count());
+    obs::Recorder& rec = opt_.obs->recorder();
+    rec.max_gauge(obs::Gauge::StoreBytes, store_bytes());
+    rec.max_gauge(obs::Gauge::InternedComponents,
+                  keys_.compressor().components());
+    rec.max_gauge(obs::Gauge::CompressorBytes,
+                  keys_.compressor().approx_bytes());
   }
 
  private:
-  /// Allocation-free variant for the probe-per-transition hot path: `out`
-  /// is replaced (capacity reused), so steady-state probes touch the
-  /// allocator only when a state is actually new and copied into the set.
-  void prod_key_into(std::string& out, const State& s, int q, int copy) const {
-    kernel::encode_key_into(s, out);
-    out.push_back(static_cast<char>(q & 0xff));
-    out.push_back(static_cast<char>((q >> 8) & 0xff));
-    out.push_back(static_cast<char>((q >> 16) & 0xff));
-    out.push_back(static_cast<char>(copy & 0xff));
+  // One frame per product state on the DFS stack; an inner search runs on
+  // the same stack, on top of the accepting outer frame that seeded it.
+  // Frames own no successor lists: each pass re-streams the system
+  // successors from the frame's cursor -- system candidate `next`, from its
+  // Buchi edge `edge` on -- and stops at the first fresh child, so a
+  // successor's state is copied only when it becomes a frame. Popped frames
+  // are recycled with their state buffers. Region ids live in frame_ids_.
+  struct Frame {
+    State state;
+    Step in_step;  // the step into this state (unused at roots and seeds)
+    std::uint8_t* marks = nullptr;  // this product state's store marks
+    std::uint64_t key_hash = 0;     // of its product key (seeds permuted order)
+    std::uint64_t resume = 0;   // engine resume token for this state
+    std::uint64_t enabled = 0;  // pids with a successor (fair copies 1..N)
+    std::uint32_t next = 0;     // cursor: system candidate (permuted: position)
+    std::uint32_t edge = 0;     // cursor: Buchi edge of candidate `next`
+    std::uint32_t counted = 0;  // candidates whose edges are in transitions_
+                                // (permuted: 1 once all of them are)
+    int q = 0;
+    int copy = 0;
+    bool in_stutter = false;
+    bool inner = false;     // part of an inner (cycle-closing) search
+    bool expanded = false;  // first pass done
+    bool terminal = false;  // no system successors: stutter edges only
+    bool nested = false;    // accepting outer frame whose inner search ran
+  };
+
+  enum class Outcome : std::uint8_t { Exhausted, Child, Cycle };
+  enum class Visit : std::uint8_t { Seen, Stored, Fresh, Cycle };
+
+  /// The outer search from (s0, q0), with an inner search nested at the
+  /// post-order of every accepting state. Returns true on an accepting
+  /// cycle, whose lasso it writes into `r`.
+  bool search(const State& s0, int q0, LtlResult& r) {
+    reserve_slot(0);
+    const std::uint64_t h = root_key(s0, q0);
+    std::uint8_t* marks = store_.find_or_insert(keys_.key(), h);
+    if ((*marks & kOuter) != 0) return false;
+    *marks |= kOuter | kOnStack;
+    ++n_outer_;
+    place(0, s0, q0, 0, marks, h, /*inner=*/false, keys_.ids().data());
+    depth_ = 1;
+
+    while (depth_ > 0) {
+      if (halt()) return false;
+      observe();
+      reserve_slot(depth_);  // the child slot, before frame references
+      Frame& f = stack_[depth_ - 1];
+      const Outcome o = f.nested ? Outcome::Exhausted
+                        : perm_seed_ == 0 ? pass(f)
+                                          : permuted_pass(f);
+      switch (o) {
+        case Outcome::Child: {
+          Frame& c = stack_[depth_];
+          if (!c.inner) *c.marks |= kOnStack;
+          ++depth_;
+          break;
+        }
+        case Outcome::Cycle:
+          build_violation(r);
+          return true;
+        case Outcome::Exhausted:
+          post_order(f);
+          break;
+      }
+    }
+    return false;
   }
 
-  std::string prod_key(const State& s, int q, int copy) const {
-    std::string key;
-    prod_key_into(key, s, q, copy);
+  /// An exhausted frame: an accepting outer frame first seeds its inner
+  /// search (once, and only if the state is not inner-visited yet); every
+  /// other frame pops.
+  void post_order(Frame& f) {
+    if (!f.inner && !f.nested && accepting(f.q, f.copy)) {
+      f.nested = true;
+      if ((*f.marks & kInner) == 0) {
+        *f.marks |= kInner;
+        ++n_inner_;
+        inner_base_ = depth_;
+        place(depth_, f.state, f.q, f.copy, f.marks, f.key_hash,
+              /*inner=*/true, frame_ids(depth_ - 1));
+        ++depth_;
+        return;
+      }
+    }
+    if (!f.inner) *f.marks &= static_cast<std::uint8_t>(~kOnStack);
+    --depth_;
+  }
+
+  /// One generation pass over frame `f` from its cursor (canonical order).
+  Outcome pass(Frame& f) {
+    prepare(f);
+    outcome_ = Outcome::Exhausted;
+    if (!f.terminal) {
+      const std::uint32_t seen =
+          stream(f.state, f.next, &f.resume,
+                 [&](std::uint32_t i, const State& ns, const Step& step) {
+                   return candidate(f, i, ns, step, scratch_.undo, false);
+                 });
+      if (seen != 0) return outcome_;
+      f.terminal = true;
+    }
+    // Stutter extension: a terminal system state loops on itself.
+    candidate(f, 0, f.state, kNoStep, {}, /*stutter=*/true);
+    return outcome_;
+  }
+
+  /// System candidate `i` of frame `f` -- successor `ns` by `step`, whose
+  /// writes `undo` lists -- expanded into its product edges (Buchi edges in
+  /// automaton order, from the cursor on). Returns false to stop the pass,
+  /// with outcome_ saying why.
+  bool candidate(Frame& f, std::uint32_t i, const State& ns, const Step& step,
+                 Undo undo, bool stutter) {
+    const BuchiState& bq = ba_.states[static_cast<std::size_t>(f.q)];
+    const std::uint64_t mask = props_mask(ns);
+    if (i >= f.counted) {
+      f.counted = i + 1;
+      for (const int q2 : bq.out) transitions_ += enters(q2, mask);
+    }
+    const int c2 = copy_after(f, step, stutter);
+    std::size_t sys_len = 0;
+    for (std::uint32_t e = i == f.next ? f.edge : 0; e < bq.out.size(); ++e) {
+      const int q2 = bq.out[e];
+      if (!enters(q2, mask)) continue;
+      if (sys_len == 0) sys_len = keys_.delta(ns, frame_ids(f), undo).size();
+      const Visit v = visit(f.inner, product_key(sys_len, q2, c2));
+      if (v == Visit::Seen || v == Visit::Stored) continue;
+      if (v == Visit::Fresh) {
+        f.next = i;
+        f.edge = e + 1;
+        set_child(f, ns, step, stutter, q2, c2);
+        outcome_ = Outcome::Child;
+      } else {
+        closing_step_ = step;
+        closing_stutter_ = stutter;
+        outcome_ = Outcome::Cycle;
+      }
+      return false;
+    }
+    f.next = i + 1;
+    f.edge = 0;
+    return true;
+  }
+
+  /// One product edge of a permuted pass, keyed but not yet generated.
+  struct Cand {
+    std::uint32_t sys;  // system candidate index (0 for stutter edges)
+    int q;
+    int copy;
+    bool stutter;
+    std::uint32_t key_off;  // into cand_keys_
+    std::uint32_t key_len;
+  };
+
+  /// A racing worker's pass (perm_seed_ != 0): one sweep keys every product
+  /// edge of the frame, the edges are taken in the frame's seeded
+  /// permutation (`next` counts positions), and only a candidate that
+  /// becomes a child or closes a cycle is generated again.
+  Outcome permuted_pass(Frame& f) {
+    prepare(f);
+    cands_.clear();
+    cand_keys_.clear();
+    const BuchiState& bq = ba_.states[static_cast<std::size_t>(f.q)];
+    auto collect = [&](std::uint32_t i, const State& ns, const Step& step,
+                       Undo undo, bool stutter) {
+      const std::uint64_t mask = props_mask(ns);
+      const int c2 = copy_after(f, step, stutter);
+      std::size_t sys_len = 0;
+      for (const int q2 : bq.out) {
+        if (!enters(q2, mask)) continue;
+        if (sys_len == 0)
+          sys_len = keys_.delta(ns, frame_ids(f), undo).size();
+        const auto key = product_key(sys_len, q2, c2);
+        cands_.push_back({i, q2, c2, stutter,
+                          static_cast<std::uint32_t>(cand_keys_.size()),
+                          static_cast<std::uint32_t>(key.size())});
+        cand_keys_.insert(cand_keys_.end(), key.begin(), key.end());
+      }
+      return true;
+    };
+    const std::uint32_t seen =
+        stream(f.state, 0, nullptr,
+               [&](std::uint32_t i, const State& ns, const Step& step) {
+                 return collect(i, ns, step, scratch_.undo, false);
+               });
+    if (seen == 0) collect(0, f.state, kNoStep, {}, /*stutter=*/true);
+    if (f.counted == 0) {
+      f.counted = 1;
+      transitions_ += cands_.size();
+    }
+    order_.resize(cands_.size());
+    std::iota(order_.begin(), order_.end(), 0u);
+    shuffle(order_, avalanche64(perm_seed_ ^ f.key_hash));
+    while (f.next < order_.size()) {
+      const Cand c = cands_[order_[f.next++]];
+      const Visit v = visit(f.inner, std::span<const std::uint8_t>(
+                                         cand_keys_.data() + c.key_off,
+                                         c.key_len));
+      if (v == Visit::Seen || v == Visit::Stored) continue;
+      regenerate(f, c, v == Visit::Fresh);
+      return v == Visit::Fresh ? Outcome::Child : Outcome::Cycle;
+    }
+    return Outcome::Exhausted;
+  }
+
+  /// Generates permuted candidate `c` again: the child frame (`child`) or
+  /// the cycle-closing step.
+  void regenerate(Frame& f, const Cand& c, bool child) {
+    auto take = [&](const State& ns, const Step& step, Undo undo) {
+      if (child) {
+        keys_.delta(ns, frame_ids(f), undo);  // the child's region ids
+        set_child(f, ns, step, c.stutter, c.q, c.copy);
+      } else {
+        closing_step_ = step;
+        closing_stutter_ = c.stutter;
+      }
+      return false;
+    };
+    if (c.stutter) {
+      take(f.state, kNoStep, {});
+      return;
+    }
+    stream(f.state, c.sys, nullptr,
+           [&](std::uint32_t, const State& ns, const Step& step) {
+             return take(ns, step, scratch_.undo);
+           });
+  }
+
+  /// First-pass setup: under weak fairness a frame in copies 1..N needs the
+  /// set of enabled processes before any edge's copy is known.
+  void prepare(Frame& f) {
+    if (f.expanded) return;
+    f.expanded = true;
+    if (!opt_.weak_fairness || f.copy < 1 || f.copy > m_.n_processes())
+      return;
+    std::uint64_t pids = 0;
+    stream(f.state, 0, nullptr,
+           [&pids](std::uint32_t, const State&, const Step& step) {
+             if (step.pid >= 0 && step.pid < 64)
+               pids |= std::uint64_t{1} << step.pid;
+             if (step.partner_pid >= 0 && step.partner_pid < 64)
+               pids |= std::uint64_t{1} << step.partner_pid;
+             return true;
+           });
+    f.enabled = pids;
+  }
+
+  /// Streams `s`'s system successors into `f` from candidate `skip` on;
+  /// returns the number of candidates enumerated (0 = terminal state when
+  /// `skip` is 0 and `f` never stopped the stream).
+  template <class F>
+  std::uint32_t stream(const State& s, std::uint32_t skip,
+                       std::uint64_t* resume, F&& f) {
+    StreamSink<std::remove_reference_t<F>> sink(
+        engine_ != nullptr ? skip : 0, skip, f);
+    if (engine_ != nullptr)
+      engine_->visit_successors(s, scratch_, sink, skip, resume);
+    else
+      m_.visit_successors(s, scratch_, sink);
+    return sink.idx;
+  }
+
+  /// Probes `key` for an outer or inner visit and records it.
+  Visit visit(bool inner, std::span<const std::uint8_t> key) {
+    const std::uint64_t h = fast_hash64(key);
+    std::uint8_t* marks = store_.find_or_insert(key, h);
+    if (inner && (*marks & kOnStack) != 0) return Visit::Cycle;
+    const std::uint8_t bit = inner ? kInner : kOuter;
+    if ((*marks & bit) != 0) return Visit::Seen;
+    *marks |= bit;
+    // stored, but past max_states it is never expanded
+    if (++(inner ? n_inner_ : n_outer_) >= opt_.max_states) {
+      truncate(TruncationReason::MaxStates);
+      return Visit::Stored;
+    }
+    fresh_marks_ = marks;
+    fresh_hash_ = h;
+    return Visit::Fresh;
+  }
+
+  /// Builds the root product key (s0, q0) in keys_.key(); returns its hash.
+  std::uint64_t root_key(const State& s0, int q0) {
+    const std::size_t sys_len = keys_.full(s0).size();
+    return fast_hash64(product_key(sys_len, q0, 0));
+  }
+
+  /// The product key in keys_.key(): the system key (its first `sys_len`
+  /// bytes) followed by the varint q * copies + copy.
+  std::span<const std::uint8_t> product_key(std::size_t sys_len, int q,
+                                            int copy) {
+    std::vector<std::uint8_t>& key = keys_.key();
+    key.resize(sys_len);
+    std::uint64_t v = static_cast<std::uint64_t>(q) *
+                          static_cast<std::uint64_t>(n_copies_) +
+                      static_cast<std::uint64_t>(copy);
+    for (; v >= 0x80; v >>= 7)
+      key.push_back(static_cast<std::uint8_t>(v | 0x80));
+    key.push_back(static_cast<std::uint8_t>(v));
     return key;
+  }
+
+  /// Fills the child slot (stack_[depth_]) with a fresh child of `f`; its
+  /// region ids are the last keyed state's.
+  void set_child(const Frame& f, const State& ns, const Step& step,
+                 bool stutter, int q, int copy) {
+    Frame& c = place(depth_, ns, q, copy, fresh_marks_, fresh_hash_, f.inner,
+                     keys_.ids().data());
+    c.in_step = step;
+    c.in_stutter = stutter;
+  }
+
+  /// Resets stack slot `d` (which must exist) to a fresh frame.
+  Frame& place(std::size_t d, const State& s, int q, int copy,
+               std::uint8_t* marks, std::uint64_t key_hash, bool inner,
+               const std::uint32_t* ids) {
+    Frame& c = stack_[d];
+    c.state.mem.assign(s.mem.begin(), s.mem.end());
+    c.state.atomic_pid = s.atomic_pid;
+    c.marks = marks;
+    c.key_hash = key_hash;
+    c.resume = 0;
+    c.enabled = 0;
+    c.next = 0;
+    c.edge = 0;
+    c.counted = 0;
+    c.q = q;
+    c.copy = copy;
+    c.in_stutter = false;
+    c.inner = inner;
+    c.expanded = false;
+    c.terminal = false;
+    c.nested = false;
+    std::copy_n(ids, nr_, frame_ids_.begin() +
+                              static_cast<std::ptrdiff_t>(d * nr_));
+    return c;
+  }
+
+  void reserve_slot(std::size_t d) {
+    if (stack_.size() <= d) stack_.resize(d + 1);
+    if (frame_ids_.size() < (d + 1) * nr_) frame_ids_.resize((d + 1) * nr_);
+  }
+
+  const std::uint32_t* frame_ids(std::size_t d) const {
+    return frame_ids_.data() + d * nr_;
+  }
+  const std::uint32_t* frame_ids(const Frame& f) const {
+    return frame_ids(static_cast<std::size_t>(&f - stack_.data()));
   }
 
   std::uint64_t props_mask(const State& s) const {
@@ -133,12 +525,22 @@ class ProductSearch {
     return mask;
   }
 
-  static bool label_sat(const BuchiState& q, std::uint64_t mask) {
-    for (const Literal& lit : q.label) {
+  /// Whether the automaton may enter `q` at a state whose propositions are
+  /// `mask` (its label holds there).
+  bool enters(int q, std::uint64_t mask) const {
+    for (const Literal& lit : ba_.states[static_cast<std::size_t>(q)].label) {
       const bool v = (mask >> lit.prop) & 1;
       if (v == lit.negated) return false;
     }
     return true;
+  }
+
+  /// The fairness copy a product edge by `step` (a stutter step when
+  /// `stutter`) leads to out of `f`.
+  int copy_after(const Frame& f, const Step& step, bool stutter) const {
+    return stutter ? next_copy(f.q, f.copy, -1, -1, 0)
+                   : next_copy(f.q, f.copy, step.pid, step.partner_pid,
+                               f.enabled);
   }
 
   bool accepting(int q, int copy) const {
@@ -162,69 +564,11 @@ class ProductSearch {
     return (moved || disabled) ? copy + 1 : copy;
   }
 
-  void prod_successors(const State& s, int q, int copy,
-                       std::vector<ProdSucc>& out) {
-    sys_succs_.clear();
-    // System-side expansion is the hot inner loop of the product search; the
-    // engine streams byte-identical successors in the same order, so the
-    // product (keys, DFS order, trails) is unchanged.
-    if (engine_ != nullptr)
-      engine_->successors(s, sys_succs_);
-    else
-      m_.successors(s, sys_succs_);
-    const BuchiState& bq = ba_.states[static_cast<std::size_t>(q)];
-
-    std::uint64_t enabled_pids = 0;
-    if (opt_.weak_fairness) {
-      for (const kernel::Succ& succ : sys_succs_) {
-        if (succ.second.pid >= 0 && succ.second.pid < 64)
-          enabled_pids |= std::uint64_t{1} << succ.second.pid;
-        if (succ.second.partner_pid >= 0 && succ.second.partner_pid < 64)
-          enabled_pids |= std::uint64_t{1} << succ.second.partner_pid;
-      }
-    }
-
-    if (sys_succs_.empty()) {
-      // stutter extension: terminal system states loop on themselves
-      const std::uint64_t mask = props_mask(s);
-      const int c2 = next_copy(q, copy, -1, -1, 0);
-      for (int q2 : bq.out)
-        if (label_sat(ba_.states[static_cast<std::size_t>(q2)], mask))
-          out.push_back({s, q2, c2, Step{}, true});
-      permute(s, q, copy, out);
-      return;
-    }
-    for (kernel::Succ& succ : sys_succs_) {
-      const std::uint64_t mask = props_mask(succ.first);
-      const int c2 = next_copy(q, copy, succ.second.pid,
-                               succ.second.partner_pid, enabled_pids);
-      // Copy the system state for all but the last satisfiable Buchi edge,
-      // then move it into the final ProdSucc: sys_succs_ is scratch that is
-      // cleared on the next expansion, and push order (ascending q2) is
-      // preserved, so the DFS is byte-identical to the copying version.
-      int pending = -1;
-      for (int q2 : bq.out) {
-        if (!label_sat(ba_.states[static_cast<std::size_t>(q2)], mask))
-          continue;
-        if (pending >= 0)
-          out.push_back({succ.first, pending, c2, succ.second, false});
-        pending = q2;
-      }
-      if (pending >= 0)
-        out.push_back({std::move(succ.first), pending, c2, succ.second, false});
-    }
-    permute(s, q, copy, out);
-  }
-
-  /// Per-state permutation for racing workers: seeded by the worker seed
-  /// mixed with the product state's own hash, so the order is a pure
-  /// function of (state, seed) and survives frame regeneration.
-  void permute(const State& s, int q, int copy, std::vector<ProdSucc>& out) {
-    if (perm_seed_ == 0 || out.size() < 2) return;
-    const std::string key = prod_key(s, q, copy);
-    const std::uint64_t h = hash_bytes(
-        {reinterpret_cast<const std::uint8_t*>(key.data()), key.size()});
-    shuffle_succs(out, avalanche64(perm_seed_ ^ h));
+  /// Whether the search must stop now: a sibling worker won, the interrupt
+  /// flag is up, or a budget ran out. Once true it stays true.
+  bool halt() {
+    if (!halted_) halted_ = stop_requested() || interrupted() || over_budget();
+    return halted_;
   }
 
   bool stop_requested() {
@@ -236,146 +580,63 @@ class ProductSearch {
     return false;
   }
 
-  // As in the safety explorer, frames do not own successor lists: only the
-  // top frame's successors are materialized, regenerated on resume
-  // (prod_successors is deterministic, so indices stay valid).
-  struct Frame {
-    State state;
-    int q;
-    int copy;
-    std::string key;
-    Step in_step;
-    bool in_stutter{false};
-    std::uint32_t next = 0;
-  };
-
-  bool dfs1(const State& s0, int q0, LtlResult& r) {
-    std::vector<Frame> stack;
-    std::unordered_set<std::string> on_stack;
-
-    Frame root;
-    root.state = s0;
-    root.q = q0;
-    root.copy = 0;
-    root.key = prod_key(s0, q0, 0);
-    if (!visited1_.insert(root.key).second) return false;
-    on_stack.insert(root.key);
-    stack.push_back(std::move(root));
-
-    std::vector<ProdSucc> succs;
-    std::ptrdiff_t succs_for = -1;
-
-    while (!stack.empty()) {
-      if (stop_requested()) return false;
-      observe();
-      const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(stack.size()) - 1;
-      Frame& f = stack[static_cast<std::size_t>(idx)];
-      if (succs_for != idx) {
-        succs.clear();
-        prod_successors(f.state, f.q, f.copy, succs);
-        if (f.next == 0) transitions_ += succs.size();  // first expansion
-        succs_for = idx;
-      }
-      if (f.next < succs.size()) {
-        ProdSucc& succ = succs[f.next++];
-        // Probe with the reusable scratch key; the string is only copied
-        // into the set (and the frame) when the state is genuinely new.
-        prod_key_into(key_scratch_, succ.state, succ.q, succ.copy);
-        if (visited1_.contains(key_scratch_)) continue;
-        visited1_.insert(key_scratch_);
-        if (visited1_.size() >= opt_.max_states) {
-          complete_ = false;
-          continue;
-        }
-        Frame nf;
-        nf.state = std::move(succ.state);
-        nf.q = succ.q;
-        nf.copy = succ.copy;
-        nf.key = key_scratch_;
-        nf.in_step = succ.step;
-        nf.in_stutter = succ.stutter;
-        on_stack.insert(nf.key);
-        stack.push_back(std::move(nf));
-        succs_for = -1;
-        continue;
-      }
-      // post-order: seed the inner search from accepting states
-      if (accepting(f.q, f.copy)) {
-        std::vector<std::pair<Step, bool>> cycle;
-        if (dfs2(f.state, f.q, f.copy, on_stack, cycle)) {
-          build_violation(stack, cycle, r);
-          return true;
-        }
-        succs_for = -1;  // dfs2 clobbered nothing, but be conservative
-      }
-      on_stack.erase(f.key);
-      stack.pop_back();
-      succs_for = -1;
-    }
-    return false;
-  }
-
-  /// Inner DFS: from an accepting state, search for any state on the outer
-  /// stack. Returns the cycle steps on success.
-  bool dfs2(const State& seed, int q_seed, int copy_seed,
-            const std::unordered_set<std::string>& on_stack1,
-            std::vector<std::pair<Step, bool>>& cycle_out) {
-    struct F2 {
-      State state;
-      int q;
-      int copy;
-      Step in_step;
-      bool in_stutter{false};
-      std::uint32_t next = 0;
-    };
-    std::vector<F2> stack;
-    stack.push_back({seed, q_seed, copy_seed, Step{}, false, 0});
-    if (!visited2_.insert(prod_key(seed, q_seed, copy_seed)).second)
+  bool interrupted() {
+    if (opt_.interrupt == nullptr ||
+        !opt_.interrupt->load(std::memory_order_relaxed))
       return false;
+    truncate(TruncationReason::Interrupted);
+    return true;
+  }
 
-    std::vector<ProdSucc> succs;
-    std::ptrdiff_t succs_for = -1;
+  void truncate(TruncationReason why) {
+    complete_ = false;
+    if (truncation_ == TruncationReason::None) truncation_ = why;
+  }
 
-    while (!stack.empty()) {
-      if (stop_requested()) return false;
-      const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(stack.size()) - 1;
-      F2& f = stack[static_cast<std::size_t>(idx)];
-      if (succs_for != idx) {
-        succs.clear();
-        prod_successors(f.state, f.q, f.copy, succs);
-        if (f.next == 0) transitions_ += succs.size();  // first expansion
-        succs_for = idx;
-      }
-      if (f.next >= succs.size()) {
-        stack.pop_back();
-        succs_for = -1;
-        continue;
-      }
-      ProdSucc& succ = succs[f.next++];
-      prod_key_into(key_scratch_, succ.state, succ.q, succ.copy);
-      if (on_stack1.contains(key_scratch_)) {
-        // cycle closes through the outer stack
-        for (std::size_t i = 1; i < stack.size(); ++i)
-          cycle_out.push_back({stack[i].in_step, stack[i].in_stutter});
-        cycle_out.push_back({succ.step, succ.stutter});
-        return true;
-      }
-      if (visited2_.contains(key_scratch_)) continue;
-      visited2_.insert(key_scratch_);
-      if (visited2_.size() >= opt_.max_states) {
-        complete_ = false;
-        continue;
-      }
-      stack.push_back({std::move(succ.state), succ.q, succ.copy, succ.step,
-                       succ.stutter, 0});
-      succs_for = -1;
+  /// Deadline / memory check, amortized: the clock and the footprint sum
+  /// are consulted every kBudgetCheckStride expansion passes.
+  bool over_budget() {
+    if (opt_.deadline_seconds <= 0.0 && opt_.memory_budget_bytes == 0)
+      return false;
+    if (++budget_tick_ % kBudgetCheckStride != 0) return false;
+    if (opt_.deadline_seconds > 0.0 &&
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start_)
+                .count() >= opt_.deadline_seconds) {
+      truncate(TruncationReason::Deadline);
+      return true;
+    }
+    if (opt_.memory_budget_bytes > 0 &&
+        store_bytes() + stack_bytes() + observer_bytes() >=
+            opt_.memory_budget_bytes) {
+      truncate(TruncationReason::MemoryBudget);
+      return true;
     }
     return false;
   }
 
-  void build_violation(const std::vector<Frame>& stack,
-                       const std::vector<std::pair<Step, bool>>& cycle,
-                       LtlResult& r) {
+  /// Product store plus the COLLAPSE intern tables behind its keys.
+  std::uint64_t store_bytes() const {
+    return store_.approx_bytes() + keys_.compressor().approx_bytes();
+  }
+
+  /// Every frame slot ever used keeps its buffers, so the high-water mark
+  /// is the footprint.
+  std::uint64_t stack_bytes() const {
+    return stack_.size() *
+               (sizeof(Frame) + static_cast<std::uint64_t>(
+                                    m_.layout().size()) *
+                                    sizeof(Value)) +
+           frame_ids_.capacity() * sizeof(std::uint32_t);
+  }
+
+  std::uint64_t observer_bytes() const {
+    return opt_.obs != nullptr ? opt_.obs->approx_bytes() : 0;
+  }
+
+  /// The lasso: the outer stack up to the accepting state, then the inner
+  /// search's path from it and the step that closes the cycle.
+  void build_violation(LtlResult& r) {
     explore::Violation v;
     v.kind = explore::ViolationKind::AcceptanceCycle;
     v.message = "acceptance cycle: an execution violates " + ba_.formula_text;
@@ -388,16 +649,30 @@ class ProductSearch {
                                  : m_.describe_step(st);
         v.trace.steps.push_back(std::move(ts));
       };
-      for (std::size_t i = 1; i < stack.size(); ++i)
-        add(stack[i].in_step, stack[i].in_stutter);
+      for (std::size_t i = 1; i < inner_base_; ++i)
+        add(stack_[i].in_step, stack_[i].in_stutter);
       trace::TraceStep marker;
       marker.step = Step{};
       marker.description = "=== start of accepting cycle ===";
       v.trace.steps.push_back(std::move(marker));
-      for (const auto& [st, stutter] : cycle) add(st, stutter);
-      v.trace.final_state = m_.format_state(stack.back().state);
+      for (std::size_t i = inner_base_ + 1; i < depth_; ++i)
+        add(stack_[i].in_step, stack_[i].in_stutter);
+      add(closing_step_, closing_stutter_);
+      v.trace.final_state = m_.format_state(stack_[inner_base_ - 1].state);
     }
     r.violation = std::move(v);
+  }
+
+  /// Amortized telemetry every kBudgetCheckStride passes: a rate-limited
+  /// heartbeat always; counter publication only when this is the lone
+  /// search (racing workers overlap, so their intermediate tallies would
+  /// inflate the merged totals -- the winner publishes once at the end
+  /// instead, via check_ltl).
+  void observe() {
+    if (blk_ == nullptr) return;
+    if (++obs_tick_ % kBudgetCheckStride != 0) return;
+    if (stop_ == nullptr) publish_counters();
+    opt_.obs->progress(n_outer_, opt_.max_states);
   }
 
   const Machine& m_;
@@ -409,27 +684,34 @@ class ProductSearch {
   const std::atomic<bool>* stop_{nullptr};
   int n_copies_{1};
 
-  /// Amortized telemetry every kObsStride outer-DFS iterations: a
-  /// rate-limited heartbeat always; counter publication only when this is
-  /// the lone search (racing workers overlap, so their intermediate tallies
-  /// would inflate the merged totals -- the winner publishes once at the
-  /// end instead, via check_ltl).
-  void observe() {
-    if (blk_ == nullptr) return;
-    if (++obs_tick_ % kObsStride != 0) return;
-    if (stop_ == nullptr) publish_counters();
-    opt_.obs->progress(visited1_.size() + visited2_.size(), opt_.max_states);
-  }
+  explore::CollapseKeys keys_;
+  explore::FlatKeySet store_;  // product keys, one mark byte per record
+  std::size_t nr_;             // COLLAPSE regions per system state
+  kernel::SuccScratch scratch_;
+  std::vector<Frame> stack_;   // slots [0, depth_) are live
+  std::vector<std::uint32_t> frame_ids_;  // nr_ region ids per stack slot
+  std::size_t depth_ = 0;
+  std::size_t inner_base_ = 0;  // slot of the running inner search's seed
 
-  static constexpr std::uint64_t kObsStride = 1024;
+  Outcome outcome_ = Outcome::Exhausted;  // why the last pass stopped
+  std::uint8_t* fresh_marks_ = nullptr;   // marks of the last Fresh visit
+  std::uint64_t fresh_hash_ = 0;          // its product key's hash
+  Step closing_step_;  // the step closing a found cycle
+  bool closing_stutter_ = false;
 
-  std::unordered_set<std::string> visited1_;
-  std::unordered_set<std::string> visited2_;
-  std::vector<kernel::Succ> sys_succs_;
-  std::string key_scratch_;
+  std::vector<Cand> cands_;  // permuted passes: the frame's product edges
+  std::vector<std::uint8_t> cand_keys_;
+  std::vector<std::uint32_t> order_;
+
+  std::uint64_t n_outer_ = 0;  // states visited by the outer search
+  std::uint64_t n_inner_ = 0;  // states visited by inner searches
   std::uint64_t transitions_ = 0;
   bool complete_ = true;
   bool aborted_ = false;
+  bool halted_ = false;  // stopped early: aborted, interrupted or over budget
+  TruncationReason truncation_ = TruncationReason::None;
+  std::chrono::steady_clock::time_point start_{};
+  std::uint64_t budget_tick_ = 0;
   obs::CounterBlock* blk_ = nullptr;
   std::uint64_t obs_tick_ = 0;
 };
@@ -471,7 +753,14 @@ LtlResult check_ltl(const kernel::Machine& m, FormulaPool& pool,
     // Racing workers over the shared read-only (machine, automaton): worker
     // 0 runs the canonical order, the rest follow independently permuted
     // DFS orders. The first to finish posts its result and cancels the
-    // rest -- sound because every worker's search is exact.
+    // rest -- sound because every worker's search is exact. Each worker
+    // builds its own product store, so each gets an even share of the
+    // memory budget: the race as a whole is held to the budget, not to
+    // threads times it.
+    CheckOptions wopt = opt;
+    if (opt.memory_budget_bytes > 0)
+      wopt.memory_budget_bytes = std::max<std::uint64_t>(
+          1, opt.memory_budget_bytes / static_cast<std::uint64_t>(threads));
     std::atomic<bool> stop{false};
     std::atomic<int> winner{-1};
     std::vector<std::optional<LtlResult>> results(
@@ -484,7 +773,7 @@ LtlResult check_ltl(const kernel::Machine& m, FormulaPool& pool,
             w == 0 ? 0
                    : avalanche64(0x17e1'0ba5'e11eull +
                                  static_cast<std::uint64_t>(w));
-        ProductSearch search(m, ctx, ba, opt, engine.get(), seed, &stop);
+        ProductSearch search(m, ctx, ba, wopt, engine.get(), seed, &stop);
         LtlResult wr = search.run();
         if (search.aborted()) return;
         int expected = -1;

@@ -16,12 +16,16 @@ namespace pnp::ltl {
 
 /// Budgets (max_states, deadline_seconds, memory_budget_bytes, threads)
 /// come from the shared pnp::ExecBudget base; the old field spellings
-/// remain valid as the inherited members. threads enables racing nested-DFS
-/// workers: each explores the same product with an independently permuted
-/// successor order and an exact private visited set, so any worker that
-/// finishes is authoritative (a violation is a real lasso; a complete
-/// violation-free search proves the property). The first worker to finish
-/// wins and cancels the rest. 1 = the historical sequential search, 0 =
+/// remain valid as the inherited members. max_states, the deadline, the
+/// memory budget (product store + intern tables + DFS stack) and
+/// `interrupt` all stop the product search, which then reports
+/// complete = false with the matching TruncationReason. threads enables
+/// racing nested-DFS workers: each explores the same product with an
+/// independently permuted successor order and its own exact product store,
+/// so any worker that finishes is authoritative (a violation is a real
+/// lasso; a complete violation-free search proves the property). Each
+/// worker gets an even share of the memory budget. The first worker to
+/// finish wins and cancels the rest. 1 = the sequential search, 0 =
 /// hardware concurrency.
 struct CheckOptions : ExecBudget {
   bool want_trace = true;
