@@ -1,16 +1,24 @@
-// AOT driver: content-addressed artifact cache + host-toolchain compile +
-// dlopen + the Engine adapter bridging the C ABI back to SuccScratch/SuccSink.
+// AOT driver: content-addressed artifact cache + parallel host-toolchain
+// compile + dlopen + the Engine adapter bridging the C ABI back to
+// SuccScratch/SuccSink.
 #include "codegen/aot.h"
 
 #include <dlfcn.h>
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -29,7 +37,7 @@ namespace fs = std::filesystem;
 // Bump whenever the generated code's SHAPE changes (new helpers, different
 // specialization decisions) even if the ABI is unchanged: the emitter
 // version is part of the cache key, so old artifacts simply stop matching.
-constexpr int kEmitterVersion = 4;
+constexpr int kEmitterVersion = 5;
 
 std::string hex64(std::uint64_t v) {
   char buf[17];
@@ -226,42 +234,156 @@ class AotEngine final : public Engine {
   const pnp_aot_module_v1* mod_;
 };
 
-bool write_file_atomic(const fs::path& final_path, const std::string& body,
-                       std::string* why) {
-  const fs::path tmp =
-      final_path.string() + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      *why = "cannot write " + tmp.string();
-      return false;
-    }
-    out << body;
-    if (!out.flush()) {
-      *why = "short write to " + tmp.string();
-      return false;
-    }
+/// Compiler processes one build runs at once: one per hardware thread. The
+/// emitter caps the units at one per process.
+int compile_slots() {
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+}
+
+/// Starts every command at once, stdout and stderr on `out_fd`, and reaps
+/// all that started. Returns "" when every one exited 0, else what failed.
+std::string run_all(const std::vector<std::vector<std::string>>& cmds,
+                    int out_fd) {
+  std::vector<std::vector<char*>> argvs;
+  for (const std::vector<std::string>& cmd : cmds) {
+    std::vector<char*>& argv = argvs.emplace_back();
+    for (const std::string& a : cmd)
+      argv.push_back(const_cast<char*>(a.c_str()));
+    argv.push_back(nullptr);
   }
-  std::error_code ec;
-  fs::rename(tmp, final_path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    *why = "cannot move artifact into cache at " + final_path.string();
+  std::vector<pid_t> kids(cmds.size(), 0);
+  std::size_t started = 0;
+  int spawn_err = 0;
+  posix_spawn_file_actions_t fa;
+  posix_spawn_file_actions_init(&fa);
+  posix_spawn_file_actions_adddup2(&fa, out_fd, STDOUT_FILENO);
+  posix_spawn_file_actions_adddup2(&fa, out_fd, STDERR_FILENO);
+  while (started < cmds.size() &&
+         (spawn_err = posix_spawnp(&kids[started], argvs[started][0], &fa,
+                                   nullptr, argvs[started].data(),
+                                   environ)) == 0)
+    ++started;
+  posix_spawn_file_actions_destroy(&fa);
+  std::vector<int> status(started, -1);  // -1 reads "not exited" on failure
+  for (std::size_t i = 0; i < started; ++i)
+    while (waitpid(kids[i], &status[i], 0) < 0 && errno == EINTR) {
+    }
+  if (spawn_err != 0)
+    return "cannot run " + cmds[started][0] + ": " +
+           std::system_category().message(spawn_err);
+  for (std::size_t i = 0; i < started; ++i) {
+    if (WIFEXITED(status[i]) && WEXITSTATUS(status[i]) == 0) continue;
+    return cmds[i][0] + (WIFEXITED(status[i])
+                             ? " exited with status " +
+                                   std::to_string(WEXITSTATUS(status[i]))
+                             : std::string(" did not exit normally"));
+  }
+  return "";
+}
+
+/// A write-only descriptor opened close-on-exec, closed with the object.
+class OutFd {
+ public:
+  OutFd(const fs::path& path, int flags)
+      : fd_(::open(path.c_str(), O_WRONLY | O_CLOEXEC | flags, 0644)) {}
+  ~OutFd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  OutFd(const OutFd&) = delete;
+  OutFd& operator=(const OutFd&) = delete;
+  int get() const { return fd_; }
+
+ private:
+  int fd_;
+};
+
+bool write_file(const fs::path& path, const std::string& body,
+                std::string* why) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << body;
+  if (!out.flush()) {
+    *why = "cannot write " + path.string();
     return false;
   }
   return true;
 }
 
-std::string shell_quote(const std::string& s) {
-  std::string out = "'";
-  for (char ch : s) {
-    if (ch == '\'')
-      out += "'\\''";
-    else
-      out += ch;
+/// A build's private directory, removed with everything in it.
+class BuildDir {
+ public:
+  explicit BuildDir(fs::path path) : path_(std::move(path)) {}
+  ~BuildDir() {
+    std::error_code ec;
+    fs::remove_all(path_, ec);
   }
-  out += "'";
-  return out;
+  BuildDir(const BuildDir&) = delete;
+  BuildDir& operator=(const BuildDir&) = delete;
+  const fs::path& path() const { return path_; }
+
+ private:
+  fs::path path_;
+};
+
+/// Emits `m` as units, compiles them concurrently and links them into
+/// `so`. Each build works in its own mkdtemp directory inside the cache, so
+/// concurrent builds of one machine -- threads of one process included --
+/// share no path until the atomic rename that publishes the module. On a
+/// compile failure the compiler output is kept as pnp-aot-<key>.log.
+bool build_module(const kernel::Machine& m, const std::string& key,
+                  const fs::path& dir, const fs::path& so,
+                  const EngineOptions& opt, std::string* why) {
+  const std::vector<std::string> units =
+      emit_aot_units(m, key, compile_slots(), why);
+  if (units.empty()) return false;  // unsupported construct; *why set
+  std::string tmpl = (dir / ("pnp-aot-" + key + ".build-XXXXXX")).string();
+  if (::mkdtemp(tmpl.data()) == nullptr) {
+    *why = "cannot create a build directory in " + dir.string();
+    return false;
+  }
+  const BuildDir work(tmpl);
+  const std::string cxx = pick_cxx(opt);
+  const fs::path out = work.path() / "module.so";
+  std::vector<std::vector<std::string>> compiles;
+  std::vector<std::string> link = {cxx, "-shared", "-o", out.string()};
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    const fs::path src = work.path() / ("unit" + std::to_string(i) + ".cpp");
+    const fs::path obj = work.path() / ("unit" + std::to_string(i) + ".o");
+    if (!write_file(src, units[i], why)) return false;
+    compiles.push_back({cxx, "-std=c++20", "-O2", "-fPIC", "-c", "-o",
+                        obj.string(), src.string()});
+    link.push_back(obj.string());
+  }
+  const fs::path log = work.path() / "build.log";
+  // O_APPEND: the concurrent compilers' diagnostics interleave, none lost
+  const OutFd log_fd(log, O_CREAT | O_APPEND);
+  if (log_fd.get() < 0) {
+    *why = "cannot write " + log.string();
+    return false;
+  }
+
+  std::size_t phase = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  if (opt.obs) phase = opt.obs->begin_phase("codegen.compile", 0);
+  std::string err = run_all(compiles, log_fd.get());
+  if (err.empty()) err = run_all({link}, log_fd.get());
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  if (opt.obs) opt.obs->end_phase(phase, 0, secs, err.empty() ? "" : "failed");
+
+  std::error_code ec;
+  if (!err.empty()) {
+    const fs::path kept = dir / ("pnp-aot-" + key + ".log");
+    fs::rename(log, kept, ec);
+    *why = "aot compile failed: " + err + " (log: " + kept.string() + ")";
+    return false;
+  }
+  fs::rename(out, so, ec);  // replaces an identical module a racer published
+  if (ec) {
+    *why = "cannot move compiled module into cache at " + so.string();
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -278,43 +400,10 @@ std::unique_ptr<Engine> make_aot_engine(const kernel::Machine& m,
   const fs::path dir = pick_cache_dir(opt, why);
   if (dir.empty()) return nullptr;
   const fs::path so = dir / ("pnp-aot-" + key + ".so");
-  const fs::path cpp = dir / ("pnp-aot-" + key + ".cpp");
 
   std::error_code ec;
-  const bool cached = fs::exists(so, ec);
-  if (!cached) {
-    std::string src = emit_aot_source(m, key, why);
-    if (src.empty()) return nullptr;  // unsupported construct; *why set
-    if (!write_file_atomic(cpp, src, why)) return nullptr;
-
-    const std::string cxx = pick_cxx(opt);
-    const fs::path so_tmp =
-        so.string() + ".tmp." + std::to_string(::getpid());
-    const fs::path log = dir / ("pnp-aot-" + key + ".log");
-    const std::string cmd = shell_quote(cxx) +
-                            " -std=c++20 -O2 -fPIC -shared -o " +
-                            shell_quote(so_tmp.string()) + " " +
-                            shell_quote(cpp.string()) + " > " +
-                            shell_quote(log.string()) + " 2>&1";
-
-    std::size_t phase = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    if (opt.obs) phase = opt.obs->begin_phase("codegen.compile", 0);
-    const int rc = std::system(cmd.c_str());
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (opt.obs) opt.obs->end_phase(phase, 0, secs, rc == 0 ? "" : "failed");
-    if (rc != 0) {
-      fs::remove(so_tmp, ec);
-      *why = "aot compile failed with " + cxx + " (log: " + log.string() + ")";
-      return nullptr;
-    }
-    fs::rename(so_tmp, so, ec);
-    if (ec && !fs::exists(so)) {  // a concurrent build may have won the race
-      *why = "cannot move compiled module into cache at " + so.string();
-      return nullptr;
-    }
+  if (!fs::exists(so, ec)) {
+    if (!build_module(m, key, dir, so, opt, why)) return nullptr;
     if (opt.obs) opt.obs->recorder().add(obs::Counter::CodegenCompiles, 1);
   } else if (opt.obs) {
     opt.obs->recorder().add(obs::Counter::CodegenCacheHits, 1);
@@ -350,11 +439,11 @@ std::string describe_engines(const std::string& cache_dir) {
   EngineOptions opt;
   opt.cache_dir = cache_dir;
   const std::string cxx = pick_cxx(opt);
-  // The same invocation shape make_aot_engine uses, minus the compile: a
-  // toolchain that answers --version is one the build step can exec.
-  const bool have_cxx =
-      std::system((shell_quote(cxx) + " --version > /dev/null 2>&1").c_str()) ==
-      0;
+  // The same spawn make_aot_engine uses, minus the compile: a toolchain
+  // that answers --version is one the build step can exec.
+  const OutFd null_fd("/dev/null", 0);
+  const bool have_cxx = null_fd.get() >= 0 &&
+                        run_all({{cxx, "--version"}}, null_fd.get()).empty();
   std::string out = "successor engines:\n";
   out += "  interp    always available (the historical interpreter)\n";
   out += "  bytecode  always available (threaded-bytecode interpreter)\n";
@@ -364,6 +453,9 @@ std::string describe_engines(const std::string& cache_dir) {
          "\n";
   out += "aot toolchain: " + cxx +
          (have_cxx ? "  [probe ok]" : "  [probe failed: not runnable]") + "\n";
+  out += "aot compile: up to " + std::to_string(compile_slots()) +
+         " units at once (one per hardware thread, at most one per "
+         "process)\n";
   std::string why;
   const fs::path dir = pick_cache_dir(opt, &why);
   out += "aot artifact cache: " +

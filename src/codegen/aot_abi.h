@@ -1,8 +1,8 @@
 // C ABI between the host and a generated AOT successor module.
 //
-// The generated translation unit is standalone -- it includes nothing from
-// this repository -- so these structs are duplicated as text inside the
-// emitter (aot_emit.cpp, kAbiText). Any layout change here MUST be mirrored
+// The generated translation units are standalone -- they include nothing
+// from this repository -- so these structs are duplicated as text inside
+// the emitter (aot_emit.cpp, kAbiText). Any layout change here MUST be mirrored
 // there and MUST bump kAotAbiVersion: the loader rejects modules whose
 // abi_version does not match, so a stale cached .so degrades to a cache
 // miss, never to a silent layout mismatch.

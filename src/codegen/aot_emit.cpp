@@ -1,5 +1,5 @@
-// Emitter: one machine -> one standalone C++ translation unit implementing
-// the pnp_aot_module_v1 ABI (aot_abi.h).
+// Emitter: one machine -> standalone C++ translation units that together
+// implement the pnp_aot_module_v1 ABI (aot_abi.h).
 //
 // The generated module is the interpreter partially evaluated for this
 // machine (SPIN's pan.c idea):
@@ -16,13 +16,25 @@
 //     region snapshots, unconditional frame resets on crash), so COLLAPSE
 //     delta compression and the differential tests see the same log.
 //
+// The module is split so the host can compile it in parallel. Unit 0, the
+// dispatch unit, holds the entry point, visit_all/visit_of/expand_pid, the
+// encode helpers and do_emit; the expand_pN functions are bin-packed by
+// emitted size over at most `max_units` units (and at most one per
+// process). Cross-unit functions have hidden visibility, so the linked .so
+// still exports only the entry point. do_emit -- skip check, step fill, host callback, revert loop --
+// is one out-of-line function rather than code copied into every
+// candidate: that copy was most of the module's size and compile time.
+//
 // Single-buffer soundness: within one candidate every read (guards, send
 // fields, recv matches, partner pcs) happens before the first write, and
 // the buffer is reverted after each emit -- so mutating the scratch the
 // reads come from cannot change any evaluated value.
 #include "codegen/aot.h"
 
+#include <algorithm>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "codegen/aot_abi.h"
@@ -106,36 +118,6 @@ inline void u_save(pnp_aot_ctx* c, i32 slot) {
   ++c->undo_len;
 }
 
-inline void revert(pnp_aot_ctx* c) {
-  for (i32 i = c->undo_len; i-- > 0;) c->mem[c->undo_slot[i]] = c->undo_val[i];
-  c->undo_len = 0;
-  c->atomic_pid = c->src_atomic;
-}
-
-inline i32 do_emit(pnp_aot_ctx* c, i32 pid, i32 trans, i32 kind, i32 chan,
-                   const i32* msg, i32 msg_len, i32 assert_failed,
-                   i32 partner_pid, i32 partner_trans) {
-  ++c->cand;          // every candidate counts, surfaced or suppressed
-  if (c->skip > 0) {  // suppressed candidate: keep indices, drop the surface
-    --c->skip;
-    revert(c);
-    return 1;
-  }
-  pnp_aot_step st;
-  st.pid = pid;
-  st.trans = trans;
-  st.partner_pid = partner_pid;
-  st.partner_trans = partner_trans;
-  st.kind = kind;
-  st.chan = chan;
-  st.assert_failed = assert_failed;
-  st.msg_len = msg_len;
-  st.msg = msg;
-  const i32 keep = c->emit(c, &st);
-  revert(c);
-  return keep;
-}
-
 [[noreturn]] inline void trap(pnp_aot_ctx* c, const char* msg) {
   c->trap(c, msg);
   __builtin_unreachable();
@@ -191,7 +173,21 @@ inline bool msg_eq(const i32* a, const i32* b, i32 arity) {
   return true;
 }
 
+}  // namespace
+)";
+
+// Dispatch unit only: the revert loop, the out-of-line do_emit that every
+// candidate in every unit calls, and the region hash.
+constexpr const char* kDispatchText = R"(
+namespace {
+
 using u64 = std::uint64_t;
+
+inline void revert(pnp_aot_ctx* c) {
+  for (i32 i = c->undo_len; i-- > 0;) c->mem[c->undo_slot[i]] = c->undo_val[i];
+  c->undo_len = 0;
+  c->atomic_pid = c->src_atomic;
+}
 
 inline u64 hash_avalanche(u64 x) {
   x ^= x >> 33;
@@ -224,6 +220,36 @@ inline u64 hash_span(const unsigned char* p, u64 n) {
   }
   return hash_avalanche(h);
 }
+
+}  // namespace
+
+namespace pnp_gen {
+
+i32 do_emit(pnp_aot_ctx* c, i32 pid, i32 trans, i32 kind, i32 chan,
+            const i32* msg, i32 msg_len, i32 assert_failed, i32 partner_pid,
+            i32 partner_trans) {
+  ++c->cand;          // every candidate counts, surfaced or suppressed
+  if (c->skip > 0) {  // suppressed candidate: keep indices, drop the surface
+    --c->skip;
+    revert(c);
+    return 1;
+  }
+  pnp_aot_step st;
+  st.pid = pid;
+  st.trans = trans;
+  st.partner_pid = partner_pid;
+  st.partner_trans = partner_trans;
+  st.kind = kind;
+  st.chan = chan;
+  st.assert_failed = assert_failed;
+  st.msg_len = msg_len;
+  st.msg = msg;
+  const i32 keep = c->emit(c, &st);
+  revert(c);
+  return keep;
+}
+
+}  // namespace pnp_gen
 )";
 
 struct ChanStatic {
@@ -234,8 +260,8 @@ struct ChanStatic {
   std::string name;
 };
 
-/// Signals "this machine can't be specialized"; caught at the emit_source
-/// top level and turned into the empty-string + why return.
+/// Signals "this machine can't be specialized"; caught at the
+/// emit_aot_units top level and turned into the empty + why return.
 struct Unsupported {
   std::string why;
 };
@@ -350,6 +376,29 @@ class CxxExpr {
   const std::vector<ChanStatic>& chans_;
 };
 
+/// Longest-first bin packing of the expand functions into `units` units:
+/// each function, largest first, goes to the unit with the least code so
+/// far, and unit 0 starts with `head` bytes of dispatch code. Emitted size
+/// stands in for compile time.
+std::vector<std::size_t> pack_units(const std::vector<std::string>& fns,
+                                    std::size_t head, std::size_t units) {
+  std::vector<std::size_t> order(fns.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return fns[a].size() > fns[b].size();
+                   });
+  std::vector<std::size_t> load(units, 0), unit_of(fns.size(), 0);
+  load[0] = head;
+  for (std::size_t f : order) {
+    const std::size_t u = static_cast<std::size_t>(
+        std::min_element(load.begin(), load.end()) - load.begin());
+    unit_of[f] = u;
+    load[u] += fns[f].size();
+  }
+  return unit_of;
+}
+
 class Emitter {
  public:
   Emitter(const kernel::Machine& m, const std::string& digest)
@@ -376,24 +425,42 @@ class Emitter {
     }
   }
 
-  std::string run() {
-    out_ += "// Generated successor module; do not edit. digest ";
-    out_ += digest_;
-    out_ += "\n";
-    out_ += kAbiText;
-    out_ += kRuntimeText;
-    for (int pid = 0; pid < m_.n_processes(); ++pid) emit_expand(pid);
+  std::vector<std::string> run(int max_units) {
+    const int n = m_.n_processes();
+    std::vector<std::string> expand;
+    for (int pid = 0; pid < n; ++pid) {
+      emit_expand(pid);
+      expand.push_back(std::exchange(out_, {}));
+    }
     emit_encode();
     emit_entry();
-    out_ += "}  // namespace\n\n";
-    out_ += "extern \"C\" pnp_aot_module_v1* pnp_aot_module() {\n";
-    out_ += "  static pnp_aot_module_v1 mod = {" + num(kAotAbiVersion) + ", " +
-            num(lay_.size()) + ", kDigest, &visit_all, &visit_of, " +
-            (encode_supported_ ? "&dirty_mask, &region_hash" :
-                                 "nullptr, nullptr") +
-            "};\n";
-    out_ += "  return &mod;\n}\n";
-    return std::move(out_);
+    std::vector<std::string> body(
+        static_cast<std::size_t>(std::clamp(max_units, 1, std::max(n, 1))));
+    body[0] = std::exchange(out_, {});
+    const std::vector<std::size_t> unit_of =
+        pack_units(expand, body[0].size(), body.size());
+    for (std::size_t pid = 0; pid < expand.size(); ++pid)
+      body[unit_of[pid]] += expand[pid];
+
+    emit_decls();
+    const std::string decls = std::exchange(out_, {});
+    std::vector<std::string> units;
+    for (std::size_t u = 0; u < body.size(); ++u) {
+      std::string src = "// Generated successor module, unit " +
+                        std::to_string(u) + " of " +
+                        std::to_string(body.size()) +
+                        "; do not edit. digest " + digest_ + "\n";
+      src += kAbiText;
+      src += kRuntimeText;
+      src += decls;
+      if (u == 0) src += kDispatchText;
+      src += "\nnamespace pnp_gen {\n\n";
+      src += body[u];
+      src += "}  // namespace pnp_gen\n";
+      if (u == 0) src += module_entry();
+      units.push_back(std::move(src));
+    }
+    return units;
   }
 
  private:
@@ -434,10 +501,26 @@ class Emitter {
     if (is_program) line("any_program = 1u;");
   }
 
+  /// The functions called across units, declared in every unit. Hidden:
+  /// the linked module exports only pnp_aot_module, and the calls between
+  /// units bind directly instead of through the PLT.
+  void emit_decls() {
+    out_ += "\nnamespace pnp_gen {\n\n";
+    line("[[gnu::visibility(\"hidden\"), gnu::noinline]] i32 do_emit(");
+    line("    pnp_aot_ctx* c, i32 pid, i32 trans, i32 kind, i32 chan, "
+         "const i32* msg,");
+    line("    i32 msg_len, i32 assert_failed, i32 partner_pid, "
+         "i32 partner_trans);");
+    for (int pid = 0; pid < m_.n_processes(); ++pid)
+      line("[[gnu::visibility(\"hidden\")]] u32 expand_p" + num(pid) +
+           "(pnp_aot_ctx* c);");
+    out_ += "\n}  // namespace pnp_gen\n";
+  }
+
   void emit_expand(int pid) {
     const CompiledProc& cp = m_.proc_of(pid);
     const CxxExpr& ex = ex_[static_cast<std::size_t>(pid)];
-    open("static u32 expand_p" + num(pid) + "(pnp_aot_ctx* c) {");
+    open("u32 expand_p" + num(pid) + "(pnp_aot_ctx* c) {");
     line("i32* const m = c->mem;");
     line("(void)m;");
     line("u32 any = 0;");
@@ -851,6 +934,17 @@ class Emitter {
     out_ += "\n";
   }
 
+  /// The one exported symbol, after unit 0's pnp_gen namespace.
+  std::string module_entry() const {
+    return "\nextern \"C\" pnp_aot_module_v1* pnp_aot_module() {\n"
+           "  static pnp_aot_module_v1 mod = {" +
+           num(kAotAbiVersion) + ", " + num(lay_.size()) +
+           ", pnp_gen::kDigest, &pnp_gen::visit_all, &pnp_gen::visit_of, " +
+           (encode_supported_ ? "&pnp_gen::dirty_mask, &pnp_gen::region_hash"
+                              : "nullptr, nullptr") +
+           "};\n  return &mod;\n}\n";
+  }
+
   static const char* op_name(OpKind op) {
     switch (op) {
       case OpKind::Noop: return "noop";
@@ -878,10 +972,11 @@ class Emitter {
 
 }  // namespace
 
-std::string emit_aot_source(const kernel::Machine& m, const std::string& digest,
-                            std::string* why) {
+std::vector<std::string> emit_aot_units(const kernel::Machine& m,
+                                        const std::string& digest,
+                                        int max_units, std::string* why) {
   try {
-    return Emitter(m, digest).run();
+    return Emitter(m, digest).run(max_units);
   } catch (const Unsupported& u) {
     if (why) *why = u.why;
     return {};

@@ -147,7 +147,7 @@ class Engine {
 
 struct EngineOptions {
   EngineKind kind = EngineKind::Interp;
-  /// AOT artifact cache directory; content-addressed .cpp/.so pairs land
+  /// AOT artifact cache directory; content-addressed .so modules land
   /// here. Empty uses a per-user directory under the system temp dir.
   std::string cache_dir;
   /// Host C++ compiler for the AOT backend. Empty consults $PNP_AOT_CXX,

@@ -122,7 +122,8 @@ class KeyArena {
     std::uint8_t* dst = slabs_.back() + used_;
     dst[0] = static_cast<std::uint8_t>(key.size() & 0xff);
     dst[1] = static_cast<std::uint8_t>(key.size() >> 8);
-    std::memcpy(dst + 2, key.data(), key.size());
+    // an empty key's data() may be null, which memcpy must not be passed
+    if (!key.empty()) std::memcpy(dst + 2, key.data(), key.size());
     if (marked) dst[2 + key.size()] = 0;
     used_ += need;
     return off;
@@ -145,7 +146,8 @@ class KeyArena {
   bool equals(std::uint32_t off, std::span<const std::uint8_t> key) const {
     const std::span<const std::uint8_t> rec = at(off);
     return rec.size() == key.size() &&
-           std::memcmp(rec.data(), key.data(), key.size()) == 0;
+           (key.empty() ||
+            std::memcmp(rec.data(), key.data(), key.size()) == 0);
   }
 
   /// Hints the cache that the record at `off` is about to be read. Two

@@ -72,8 +72,8 @@ struct VerifyOptions : ExecBudget {
   /// where the fallback is an error (see run_ladder): a resumed search must
   /// never be silently reinterpreted under a different engine than asked.
   codegen::EngineKind engine = codegen::EngineKind::Interp;
-  /// Directory for compiled AOT artifacts (content-addressed .cpp/.so
-  /// pairs, keyed by the machine digest); empty = a shared directory under
+  /// Directory for compiled AOT artifacts (content-addressed .so
+  /// modules, keyed by the machine digest); empty = a shared directory under
   /// the system temp dir. pnp::Session points this at RunConfig::cache_dir,
   /// so verdicts and artifacts share one `--cache-dir`.
   std::string engine_cache_dir;

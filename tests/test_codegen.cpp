@@ -15,26 +15,34 @@
 //   (3) search-level: verdicts, stored/matched/transition counts at thread
 //       counts 1/2/8, bounded (truncation-order-sensitive) runs, violation
 //       trails, and interp<->bytecode checkpoint portability;
-//   (4) the fallback ladder: no-toolchain AOT degrades to bytecode (noted),
-//       or raises ModelError under strict; cache hits are content-addressed.
+//   (4) the fallback ladder: no-toolchain and failing-compiler AOT degrade
+//       to bytecode (noted), or raise ModelError under strict; cache hits
+//       are content-addressed, and concurrent cold builds of one machine
+//       all load the one published module.
 //
 // AOT cases self-skip when the host has no working toolchain, which keeps
 // the CI no-toolchain lane meaningful (it still runs every fallback test).
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
+#include <latch>
 #include <memory>
 #include <optional>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "adl/adl.h"
 #include "bridge/bridge.h"
+#include "codegen/aot.h"
 #include "codegen/engine.h"
 #include "explore/checkpoint.h"
 #include "explore/explorer.h"
@@ -180,6 +188,21 @@ std::unique_ptr<codegen::Engine> try_aot(const Machine& m,
 
 #define SKIP_WITHOUT_AOT(eng) \
   if ((eng) == nullptr) GTEST_SKIP() << "no host toolchain for the aot engine"
+
+/// File names in `dir`, sorted.
+std::vector<std::string> dir_entries(const fs::path& dir) {
+  std::vector<std::string> out;
+  for (const auto& ent : fs::directory_iterator(dir))
+    out.push_back(ent.path().filename().string());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// True when every child this process started has been reaped.
+bool no_children_left() {
+  errno = 0;
+  return ::waitpid(-1, nullptr, WNOHANG) < 0 && errno == ECHILD;
+}
 
 // -- emission capture --------------------------------------------------------
 
@@ -598,6 +621,116 @@ TEST(EngineFallback, StrictModeRaisesModelError) {
   o.cxx = "/nonexistent/pnp-no-such-compiler";
   o.strict = true;
   EXPECT_THROW(codegen::make_engine(*t.m, o), ModelError);
+}
+
+TEST(EngineFallback, FailingCompilerFallsBackAndKeepsOnlyTheLog) {
+  // A compiler that starts but exits nonzero, on a machine whose processes
+  // span several units (given 2+ hardware threads): every compile is
+  // reaped, the build directory goes, and only the compile log stays,
+  // named in the fallback note or the strict-mode error.
+  if (!fs::exists("/bin/false")) GTEST_SKIP() << "no /bin/false";
+  TempDir cache;
+  const auto tp = make_fig14();
+  const TestModel& t = *tp;
+  for (const bool strict : {false, true}) {
+    const fs::path dir = cache.path() / (strict ? "strict" : "fallback");
+    codegen::EngineOptions o;
+    o.kind = codegen::EngineKind::Aot;
+    o.cache_dir = dir.string();
+    o.cxx = "/bin/false";
+    o.strict = strict;
+    std::string note;
+    if (strict) {
+      try {
+        (void)codegen::make_engine(*t.m, o);
+        ADD_FAILURE() << "strict build did not raise ModelError";
+      } catch (const ModelError& e) {
+        note = e.what();
+      }
+    } else {
+      const auto e = codegen::make_engine(*t.m, o, &note);
+      ASSERT_NE(e, nullptr);
+      EXPECT_EQ(e->kind(), codegen::EngineKind::Bytecode);
+      EXPECT_NE(note.find("using bytecode"), std::string::npos) << note;
+    }
+    const std::vector<std::string> left = dir_entries(dir);
+    ASSERT_EQ(left.size(), 1u) << ::testing::PrintToString(left);
+    EXPECT_EQ(fs::path(left[0]).extension(), ".log") << left[0];
+    EXPECT_NE(note.find((dir / left[0]).string()), std::string::npos)
+        << note;
+    EXPECT_TRUE(no_children_left());
+  }
+}
+
+TEST(EngineCache, ProcessesSpreadOverParallelUnits) {
+  // Unit 0 carries the entry point; every expand function is defined in
+  // exactly one unit; the unit count is min(max_units, processes).
+  const auto tp = make_fig14();
+  const Machine& m = *tp->m;
+  ASSERT_GE(m.n_processes(), 4);
+  for (const int max_units : {1, 2, 4, 1000}) {
+    std::string why;
+    const std::vector<std::string> units =
+        codegen::emit_aot_units(m, "digest", max_units, &why);
+    ASSERT_EQ(units.size(), static_cast<std::size_t>(
+                                std::min(max_units, m.n_processes())))
+        << why;
+    for (std::size_t u = 0; u < units.size(); ++u)
+      EXPECT_EQ(units[u].find("pnp_aot_module()") != std::string::npos,
+                u == 0)
+          << "unit " << u;
+    for (int pid = 0; pid < m.n_processes(); ++pid) {
+      const std::string def = "\nu32 expand_p" + std::to_string(pid) + "(";
+      int defs = 0;
+      for (const std::string& src : units)
+        defs += src.find(def) != std::string::npos ? 1 : 0;
+      EXPECT_EQ(defs, 1) << "pid " << pid << " max_units " << max_units;
+    }
+  }
+}
+
+TEST(EngineCache, ConcurrentColdBuildsAllLoadAot) {
+  // Threads of one process building one machine into a fresh cache (two
+  // pnpd workers, say) must each load the aot module: every build works in
+  // its own directory, so none renames or dlopens another's files.
+  TempDir cache;
+  const auto tp = make_fig14();
+  const TestModel& t = *tp;
+  SKIP_WITHOUT_AOT(try_aot(*t.m, (cache.path() / "probe").string()));
+  const fs::path dir = cache.path() / "shared";
+  fs::create_directories(dir);
+  constexpr int kThreads = 4;
+  std::vector<std::unique_ptr<codegen::Engine>> engines(kThreads);
+  std::vector<std::string> notes(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i)
+    threads.emplace_back([&, i] {
+      codegen::EngineOptions o;
+      o.kind = codegen::EngineKind::Aot;
+      o.cache_dir = dir.string();
+      const std::size_t k = static_cast<std::size_t>(i);
+      start.arrive_and_wait();
+      try {
+        engines[k] = codegen::make_engine(*t.m, o, &notes[k]);
+      } catch (const std::exception& e) {  // reported below as a null engine
+        notes[k] = e.what();
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  const std::vector<State> states = reachable_states(*t.m, 40);
+  for (int i = 0; i < kThreads; ++i) {
+    const auto& e = engines[static_cast<std::size_t>(i)];
+    ASSERT_NE(e, nullptr) << notes[static_cast<std::size_t>(i)];
+    EXPECT_EQ(e->kind(), codegen::EngineKind::Aot)
+        << "thread " << i << ": " << notes[static_cast<std::size_t>(i)];
+    for (const State& s : states)
+      expect_same_stream(interp_emissions(*t.m, s), engine_emissions(*e, s),
+                         "thread " + std::to_string(i));
+  }
+  const std::vector<std::string> left = dir_entries(dir);
+  ASSERT_EQ(left.size(), 1u) << ::testing::PrintToString(left);
+  EXPECT_EQ(fs::path(left[0]).extension(), ".so") << left[0];
 }
 
 TEST(EngineCache, SecondBuildIsAContentAddressedHit) {
