@@ -31,11 +31,14 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # parallel POR sweep at threads 2/8 through bytecode and AOT backends;
   # EngineExplore covers the plain parallel sweep; EngineLtl the racing
   # nested-DFS workers; EngineCache the concurrent cold builds of one
-  # machine, each spawning its compilers from its own thread).
+  # machine, each spawning its compilers from its own thread; Cache, which
+  # also selects EngineCache, the verdict cache pnpd workers share, whose
+  # records, lookups and flushes race on its entries and on the dirty
+  # state that gates a rewrite).
   cmake -B build-tsan -S . -DPNP_SANITIZE=thread
   cmake --build build-tsan -j --target test_parallel test_explore test_serve \
-    test_codegen pnpv
+    test_codegen test_reduce pnpv
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-      -R 'Parallel|Swarm|Explore|Serve|pnpv\.threads|EnginePor|EngineExplore|EngineLtl|EngineCache'
+      -R 'Parallel|Swarm|Explore|Serve|pnpv\.threads|EnginePor|EngineExplore|EngineLtl|Cache'
 fi

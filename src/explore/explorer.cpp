@@ -57,13 +57,6 @@ using kernel::Succ;
 
 constexpr std::uint64_t kBudgetCheckStride = 1024;
 
-/// Visited-table pre-size hint: honor a caller-set max_states bound exactly,
-/// but cap the speculative up-front allocation -- the flat tables double
-/// cheaply past the cap.
-std::uint64_t expected_states(const Options& opt) {
-  return std::min<std::uint64_t>(opt.max_states, std::uint64_t{1} << 16);
-}
-
 std::optional<Violation> invariant_violation(const Machine& m,
                                              const Options& opt,
                                              const State& s) {
@@ -133,8 +126,7 @@ class FlatRun {
   FlatRun(const Machine& m, const Options& opt, const std::atomic<bool>* stop)
       : m_(m),
         opt_(opt),
-        visited_(opt.bitstate, opt.bitstate_bytes, /*seed=*/0,
-                 opt.bitstate ? 0 : expected_states(opt)),
+        visited_(opt.bitstate, opt.bitstate_bytes),
         keys_(m.layout(), opt.engine),
         stop_(stop) {
     if (opt.obs != nullptr) blk_ = opt.obs->recorder().open_block();

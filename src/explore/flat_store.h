@@ -4,16 +4,21 @@
 // The previous stores kept one heap-allocated std::string per state inside
 // a node-based std::unordered_set -- three pointer chases and ~64 bytes of
 // overhead per state. Here a state costs one 8-byte {offset, fingerprint}
-// slot in a flat huge-page-backed table plus its key bytes (length-prefixed)
-// in a slab arena that never moves or frees, so inserts are a single probe
-// sequence and a bump-pointer append.
+// slot in a flat table plus its key bytes (length-prefixed) in an arena
+// that never moves or frees, so inserts are a single probe sequence and a
+// bump-pointer append.
+//
+// Both parts start small and grow with the keys they hold -- the table by
+// doubling from kMinSlots, the arena by doubling chunks up to 2 MiB slabs --
+// so a search of a few hundred states costs kilobytes, not megabytes, of
+// set-up. Huge pages apply only once a part reaches 2 MiB.
 //
 // Durability: a SpillPool (support/spill.h) can be attached at any point;
-// slabs allocated after that are mmap'd file-backed blocks whose pages are
-// clean-evictable, so the arena keeps growing past the memory budget while
-// only the pre-spill slabs and the probe arrays stay unconditionally
-// resident. Offsets, spans, and equals() work identically on both kinds of
-// slab -- callers cannot tell where a record landed.
+// arena chunks allocated after that are mmap'd file-backed blocks whose
+// pages are clean-evictable, so the arena keeps growing past the memory
+// budget while only the pre-spill chunks and the probe arrays stay
+// unconditionally resident. Offsets, spans, and equals() work identically on
+// both kinds of chunk -- callers cannot tell where a record landed.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +31,7 @@
 #include <sys/mman.h>
 #endif
 
+#include "support/chunks.h"
 #include "support/hash.h"
 #include "support/panic.h"
 #include "support/spill.h"
@@ -106,38 +112,49 @@ class HugeZeroBuf {
 };
 
 /// Append-only arena for length-prefixed key records. Records never span a
-/// slab boundary and slabs never move, so a returned offset (and a pointer
+/// chunk boundary and chunks never move, so a returned offset (and a pointer
 /// into its record) stays valid for the arena's lifetime.
+///
+/// Growth is pay-as-you-go (support::DoublingChunks): the first 2 MiB of
+/// offsets are covered by heap chunks that double from 512 B, allocated as
+/// appends reach them, so a search of a few hundred states holds a few
+/// KiB. Only an arena that outgrows that first slab moves on to
+/// whole 2 MiB slabs, each on one transparent huge page: duplicate-candidate
+/// confirms read the arena at random offsets, and the huge mapping spares
+/// them the per-read dTLB miss that small pages cost a big store.
 class KeyArena {
  public:
+  /// Offsets below this are served by the doubling heap chunks; from here
+  /// on every chunk is a whole slab.
+  static constexpr std::uint64_t kSlabBytes = std::uint64_t{1} << 21;
+
   /// Appends `key` (2-byte length prefix + bytes), followed by one zeroed
   /// mark byte when `marked`, and returns its offset.
   std::uint32_t append(std::span<const std::uint8_t> key,
                        bool marked = false) {
     const std::size_t need = key.size() + 2 + (marked ? 1 : 0);
     PNP_CHECK(key.size() <= 0xffff, "visited key exceeds 64 KiB");
-    if (kSlabBytes - used_ < need) new_slab();
-    const std::uint32_t off = static_cast<std::uint32_t>(
-        (slabs_.size() - 1) * kSlabBytes + used_);
-    std::uint8_t* dst = slabs_.back() + used_;
+    if (end_ - top_ < need) open_chunk(need);
+    const std::uint64_t off = top_;
+    std::uint8_t* dst = ptr(off);
     dst[0] = static_cast<std::uint8_t>(key.size() & 0xff);
     dst[1] = static_cast<std::uint8_t>(key.size() >> 8);
     // an empty key's data() may be null, which memcpy must not be passed
     if (!key.empty()) std::memcpy(dst + 2, key.data(), key.size());
     if (marked) dst[2 + key.size()] = 0;
-    used_ += need;
-    return off;
+    top_ += need;
+    return static_cast<std::uint32_t>(off);
   }
 
   /// The mark byte of the (marked) record at `off`.
   std::uint8_t* mark(std::uint32_t off) {
-    std::uint8_t* p = slabs_[off / kSlabBytes] + off % kSlabBytes;
+    std::uint8_t* p = ptr(off);
     return p + 2 + (static_cast<std::size_t>(p[0]) |
                     (static_cast<std::size_t>(p[1]) << 8));
   }
 
   std::span<const std::uint8_t> at(std::uint32_t off) const {
-    const std::uint8_t* p = slabs_[off / kSlabBytes] + off % kSlabBytes;
+    const std::uint8_t* p = ptr(off);
     const std::size_t len =
         static_cast<std::size_t>(p[0]) | (static_cast<std::size_t>(p[1]) << 8);
     return {p + 2, len};
@@ -154,57 +171,74 @@ class KeyArena {
   /// lines: a typical key straddles a line boundary often enough that the
   /// second serial miss would eat most of the hint's win.
   void prefetch(std::uint32_t off) const {
-    const std::uint8_t* p = slabs_[off / kSlabBytes] + off % kSlabBytes;
+    const std::uint8_t* p = ptr(off);
     __builtin_prefetch(p);
     __builtin_prefetch(p + 64);
   }
 
-  /// Slabs allocated from now on come from `pool` (disk-backed) instead of
-  /// the heap. Existing slabs are untouched, but the current slab is sealed
-  /// so the very next append already lands on the new backing -- "after
-  /// attach, keys go to disk" must not depend on how full the last heap
-  /// slab happens to be (offsets are absolute, so sealing only wastes the
-  /// slab's tail). Pass nullptr to detach. The pool must outlive the
+  /// Chunks allocated from now on come from `pool` (disk-backed) instead of
+  /// the heap. Existing chunks are untouched, but the current chunk is
+  /// sealed so the very next append already lands on the new backing --
+  /// "after attach, keys go to disk" must not depend on how full the last
+  /// heap chunk happens to be (offsets are absolute, so sealing only wastes
+  /// the chunk's tail). Pass nullptr to detach. The pool must outlive the
   /// arena's last access.
   void attach_spill(support::SpillPool* pool) {
-    if (pool != spill_) used_ = kSlabBytes;
+    if (pool != spill_) top_ = end_;
     spill_ = pool;
   }
   bool spilling() const { return spill_ != nullptr; }
 
-  /// Total arena footprint, resident or not.
-  std::uint64_t bytes() const { return slabs_.size() * kSlabBytes; }
+  /// Total arena footprint, resident or not: every chunk allocated so far.
+  std::uint64_t bytes() const { return heap_bytes_ + spill_bytes_; }
   /// Heap (unconditionally resident) share of bytes().
-  std::uint64_t resident_bytes() const { return heap_.size() * kSlabBytes; }
+  std::uint64_t resident_bytes() const { return heap_bytes_; }
   /// Disk-backed (page-cache evictable) share of bytes().
-  std::uint64_t spill_bytes() const {
-    return (slabs_.size() - heap_.size()) * kSlabBytes;
-  }
+  std::uint64_t spill_bytes() const { return spill_bytes_; }
 
  private:
-  // 2 MiB slabs sit on one transparent huge page each: duplicate-candidate
-  // confirms read the arena at random offsets, and the huge mapping spares
-  // them the per-read dTLB miss the old 256 KiB heap slabs paid.
-  static constexpr std::size_t kSlabBytes = std::size_t{2} << 20;
-  static constexpr std::size_t kMaxSlabs = (std::uint64_t{1} << 32) / kSlabBytes;
+  // 512 B first chunk (room for any COLLAPSE key), doubling to kSlabBytes.
+  static constexpr support::DoublingChunks kChunks{9, 21};
+  static_assert(std::uint64_t{1} << kChunks.last_log == kSlabBytes);
 
-  void new_slab() {
-    PNP_CHECK(slabs_.size() < kMaxSlabs,
+  std::uint8_t* ptr(std::uint64_t off) const {
+    const support::DoublingChunks::Pos p = kChunks.locate(off);
+    return chunks_[p.chunk] + p.at;
+  }
+
+  /// Opens the next chunk large enough for a `need`-byte record. Chunks
+  /// too small for it are skipped (left unallocated): their offsets are
+  /// simply never handed out.
+  void open_chunk(std::size_t need) {
+    std::size_t k = chunks_.size();
+    while (kChunks.size(k) < need) {
+      chunks_.push_back(nullptr);
+      ++k;
+    }
+    const std::uint64_t begin = kChunks.begin(k);
+    const std::uint64_t size = kChunks.size(k);
+    PNP_CHECK(begin + size <= (std::uint64_t{1} << 32),
               "visited-key arena exceeds 4 GiB (raise the memory budget "
               "or switch to bitstate mode)");
     if (spill_) {
-      slabs_.push_back(static_cast<std::uint8_t*>(spill_->alloc(kSlabBytes)));
+      chunks_.push_back(static_cast<std::uint8_t*>(spill_->alloc(size)));
+      spill_bytes_ += size;
     } else {
-      heap_.emplace_back(kSlabBytes);
-      slabs_.push_back(static_cast<std::uint8_t*>(heap_.back().data()));
+      heap_.emplace_back(size);  // a huge page only from kSlabBytes up
+      chunks_.push_back(static_cast<std::uint8_t*>(heap_.back().data()));
+      heap_bytes_ += size;
     }
-    used_ = 0;
+    top_ = begin;
+    end_ = begin + size;
   }
 
-  std::vector<std::uint8_t*> slabs_;  // heap- and spill-backed alike
-  std::vector<HugeZeroBuf> heap_;     // owns the heap slabs
+  std::vector<std::uint8_t*> chunks_;  // by chunk index; null if skipped
+  std::vector<HugeZeroBuf> heap_;      // owns the heap chunks
   support::SpillPool* spill_ = nullptr;  // not owned; frees on destruction
-  std::size_t used_ = kSlabBytes;  // forces the first slab on first append
+  std::uint64_t top_ = 0;  // next free offset in the current chunk
+  std::uint64_t end_ = 0;  // end of the current chunk (none yet: 0)
+  std::uint64_t heap_bytes_ = 0;
+  std::uint64_t spill_bytes_ = 0;
 };
 
 /// Open-addressing set of byte keys, probed by a caller-supplied 64-bit
@@ -228,9 +262,10 @@ class KeyArena {
 /// mark. An unmarked set's records keep the plain length-prefixed layout.
 class FlatKeySet {
  public:
-  explicit FlatKeySet(std::uint64_t expected = 0, bool marked = false)
-      : marked_(marked) {
-    rehash(cap_for(expected));
+  /// Starts at kMinSlots empty slots; the table doubles as keys arrive and
+  /// the arena grows by chunks, so the footprint follows the keys held.
+  explicit FlatKeySet(bool marked = false) : marked_(marked) {
+    rehash(kMinSlots);
   }
 
   /// Hints the cache that `h`'s first probe slot is about to be read. An
@@ -301,12 +336,6 @@ class FlatKeySet {
 
   std::uint64_t size() const { return size_; }
 
-  /// Pre-sizes the table for `n` keys (never shrinks).
-  void reserve(std::uint64_t n) {
-    const std::size_t cap = cap_for(n);
-    if (cap > cap_) rehash(cap);
-  }
-
   /// Calls `f(std::span<const std::uint8_t>)` once per stored key, in
   /// table order. Used by checkpointing to enumerate the visited set.
   template <class F>
@@ -331,12 +360,7 @@ class FlatKeySet {
   std::uint64_t spill_bytes() const { return arena_.spill_bytes(); }
 
  private:
-  static std::size_t cap_for(std::uint64_t expected) {
-    // smallest power of two holding `expected` at <= 0.7 load
-    std::size_t cap = 64;
-    while (cap * 7 < (expected + 1) * 10) cap <<= 1;
-    return cap;
-  }
+  static constexpr std::size_t kMinSlots = 16;
 
   // off1 is the arena offset + 1, so the all-zeroes slot a fresh mapping
   // starts with means "free" (kernel zero pages, no memset pass).

@@ -51,11 +51,6 @@ using kernel::Step;
 
 constexpr std::uint64_t kNoGid = ~std::uint64_t{0};
 
-/// Mirrors the sequential engine's visited-table pre-size policy.
-std::uint64_t expected_states(const Options& opt) {
-  return std::min<std::uint64_t>(opt.max_states, std::uint64_t{1} << 16);
-}
-
 class ParallelRun {
  public:
   ParallelRun(const Machine& m, const Options& opt, int threads)
@@ -63,7 +58,6 @@ class ParallelRun {
         opt_(opt),
         n_(threads),
         workers_(static_cast<std::size_t>(threads)),
-        visited_(expected_states(opt)),
         compressor_(m.layout(), /*stripes=*/16) {
     if (opt.obs != nullptr)
       for (Worker& w : workers_) w.blk = opt.obs->recorder().open_block();

@@ -31,12 +31,11 @@ namespace pnp::explore {
 /// Single-threaded visited-state store: exact flat key set, or double-bit
 /// Bloom filter in bitstate (supertrace) mode. `seed` perturbs the bitstate
 /// hash functions; seed 0 reproduces the historical single-search behavior.
-/// `expected` pre-sizes the exact table (ignored in bitstate mode).
+/// The exact set starts at its minimum and grows with the keys it holds.
 class VisitedSet {
  public:
-  VisitedSet(bool bitstate, std::uint64_t bytes, std::uint64_t seed = 0,
-             std::uint64_t expected = 0)
-      : bitstate_(bitstate), seed_(seed), set_(bitstate ? 0 : expected) {
+  VisitedSet(bool bitstate, std::uint64_t bytes, std::uint64_t seed = 0)
+      : bitstate_(bitstate), seed_(seed) {
     if (bitstate_) bits_.assign(bytes, 0);
   }
 
@@ -126,14 +125,14 @@ class VisitedSet {
 
 /// Concurrent exact visited set, lock-striped into 64 shards selected by the
 /// top bits of the state-key hash (the bottom bits probe the shard-local
-/// flat table, so the two uses stay independent). `expected` pre-sizes every
-/// shard for expected/64 keys.
+/// flat table, so the two uses stay independent). Every shard starts at the
+/// flat set's minimum, so the store's footprint follows the keys it holds
+/// rather than the shard count.
 class ShardedVisitedSet {
  public:
-  explicit ShardedVisitedSet(std::uint64_t expected = 0) : shards_(kShards) {
-    if (expected > 0)
-      for (Shard& sh : shards_) sh.set.reserve(expected / kShards + 1);
-    refresh_bytes();
+  ShardedVisitedSet() : shards_(kShards) {
+    for (Shard& sh : shards_)
+      sh.bytes.store(sh.set.approx_bytes(), std::memory_order_relaxed);
   }
 
   static std::uint64_t hash_key(std::span<const std::uint8_t> key) {
@@ -205,11 +204,6 @@ class ShardedVisitedSet {
 
   static std::size_t shard_of(std::uint64_t h) {
     return static_cast<std::size_t>(h >> 58);  // top 6 bits
-  }
-
-  void refresh_bytes() {
-    for (Shard& sh : shards_)
-      sh.bytes.store(sh.set.approx_bytes(), std::memory_order_relaxed);
   }
 
   // Cache-line aligned so neighboring shard locks don't false-share.

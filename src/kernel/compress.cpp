@@ -9,12 +9,6 @@ namespace pnp::kernel {
 
 namespace {
 
-std::size_t pow2_at_least(std::size_t n) {
-  std::size_t c = 64;
-  while (c < n) c <<= 1;
-  return c;
-}
-
 // Compressed keys are built tens of millions of times per run; writing
 // through a raw pointer into a pre-sized buffer avoids the per-byte
 // push_back size/capacity dance that showed up in exploration profiles.
@@ -45,15 +39,12 @@ std::uint32_t read_varint(std::span<const std::uint8_t> key, std::size_t& at) {
 
 }  // namespace
 
-StateCompressor::StateCompressor(const Layout& lay, int stripes,
-                                 std::size_t expected_components)
+StateCompressor::StateCompressor(const Layout& lay, int stripes)
     : n_stripes_(stripes < 1 ? 1 : stripes),
       concurrent_(stripes > 1),
       state_size_(lay.size()) {
   const auto regions = lay.regions();
   regions_.reserve(regions.size());
-  const std::size_t per_stripe = pow2_at_least(
-      (expected_components / static_cast<std::size_t>(n_stripes_) + 1) * 2);
   for (const auto& [begin, width] : regions) {
     Region r;
     r.begin = begin;
@@ -61,7 +52,7 @@ StateCompressor::StateCompressor(const Layout& lay, int stripes,
     r.stripes = std::make_unique<Stripe[]>(static_cast<std::size_t>(n_stripes_));
     for (int i = 0; i < n_stripes_; ++i) {
       Stripe& st = r.stripes[static_cast<std::size_t>(i)];
-      st.slots.assign(per_stripe, Slot{});
+      st.slots.assign(kMinSlots, Slot{});
       st.store.init(width);
       st.bytes.store(st.slots.capacity() * sizeof(Slot) +
                          st.store.resident_bytes(),

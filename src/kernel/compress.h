@@ -13,7 +13,9 @@
 // is exact -- the tables retain every component ever interned.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "kernel/state.h"
+#include "support/chunks.h"
 #include "support/spill.h"
 
 namespace pnp::kernel {
@@ -30,78 +33,85 @@ namespace pnp::kernel {
 /// intern pool behind each compressor stripe. Chunks never move (so value
 /// pointers stay stable across appends) and, once a SpillPool is attached,
 /// new chunks are disk-backed: the pool's pages are clean-evictable, which
-/// lets the intern tables grow past the memory budget. Record `local` lives
-/// at chunk local/per_chunk_, slot local%per_chunk_ -- O(1) either way.
+/// lets the intern tables grow past the memory budget. Chunk sizes double
+/// from 4 records up to ~4 KiB (support::DoublingChunks), so a region with a
+/// handful of components holds a handful of records, and record `local`'s
+/// chunk follows from its bits -- O(1), no division.
 class ValueArena {
  public:
   void init(int width) {
     width_ = width < 0 ? 0 : static_cast<std::size_t>(width);
-    per_chunk_ = kChunkValues / (width_ == 0 ? 1 : width_);
-    if (per_chunk_ == 0) per_chunk_ = 1;
-    used_ = per_chunk_;  // forces a chunk on first append
+    // full chunks: the largest power of two of records within kChunkValues
+    const std::size_t per_full =
+        kChunkValues / (width_ == 0 ? 1 : width_);
+    const unsigned last =
+        per_full <= 1 ? 0u
+                      : static_cast<unsigned>(std::bit_width(per_full) - 1);
+    growth_ = {std::min(kFirstLog, last), last};
   }
 
   const Value* at(std::uint32_t local) const {
     // A width-0 region has one empty component; hand back a stable dummy
     // so memcmp(at(..), vals, 0) sees a valid pointer.
     if (width_ == 0) return &kZeroWidth;
-    return chunks_[local / per_chunk_] + (local % per_chunk_) * width_;
+    const support::DoublingChunks::Pos p = growth_.locate(local);
+    return chunks_[p.chunk] + p.at * width_;
   }
 
   /// Appends one record (width values); records are addressed by append
   /// order, matching the caller's dense local ids.
   void append(const Value* vals) {
     if (width_ == 0) return;
-    if (used_ == per_chunk_) new_chunk();
-    std::memcpy(chunks_.back() + used_ * width_, vals, width_ * sizeof(Value));
-    ++used_;
+    if (count_ == end_) new_chunk();
+    const support::DoublingChunks::Pos p = growth_.locate(count_);
+    std::memcpy(chunks_.back() + p.at * width_, vals, width_ * sizeof(Value));
+    ++count_;
   }
 
   void attach_spill(support::SpillPool* pool) { spill_ = pool; }
 
-  std::uint64_t resident_bytes() const {
-    return heap_.size() * chunk_bytes();
-  }
-  std::uint64_t spill_bytes() const {
-    return (chunks_.size() - heap_.size()) * chunk_bytes();
-  }
+  std::uint64_t resident_bytes() const { return heap_bytes_; }
+  std::uint64_t spill_bytes() const { return spill_bytes_; }
 
  private:
-  static constexpr std::size_t kChunkValues = 1024;  // ~4 KiB per chunk
-
-  std::size_t chunk_bytes() const {
-    return per_chunk_ * width_ * sizeof(Value);
-  }
+  static constexpr std::size_t kChunkValues = 1024;  // full chunk: ~4 KiB
+  static constexpr unsigned kFirstLog = 2;           // first chunk: 4 records
 
   void new_chunk() {
+    const std::size_t k = chunks_.size();
+    const std::size_t bytes =
+        static_cast<std::size_t>(growth_.size(k)) * width_ * sizeof(Value);
     if (spill_) {
-      chunks_.push_back(static_cast<Value*>(spill_->alloc(chunk_bytes())));
+      chunks_.push_back(static_cast<Value*>(spill_->alloc(bytes)));
+      spill_bytes_ += bytes;
     } else {
-      heap_.push_back(std::make_unique<Value[]>(per_chunk_ * width_));
+      heap_.emplace_back(new Value[bytes / sizeof(Value)]);
       chunks_.push_back(heap_.back().get());
+      heap_bytes_ += bytes;
     }
-    used_ = 0;
+    end_ += growth_.size(k);
   }
 
   static constexpr Value kZeroWidth{};
 
   std::size_t width_ = 1;
-  std::size_t per_chunk_ = kChunkValues;
-  std::size_t used_ = kChunkValues;  // forces a chunk on first append
+  support::DoublingChunks growth_{kFirstLog, 10};
+  std::uint64_t count_ = 0;  // records appended
+  std::uint64_t end_ = 0;    // records the allocated chunks can hold
   std::vector<Value*> chunks_;
   std::vector<std::unique_ptr<Value[]>> heap_;  // owns the heap chunks
   support::SpillPool* spill_ = nullptr;         // not owned
+  std::uint64_t heap_bytes_ = 0;
+  std::uint64_t spill_bytes_ = 0;
 };
 
 class StateCompressor {
  public:
   /// `stripes` > 1 lock-stripes every component table so compress() may be
   /// called concurrently from that many (or more) workers; 1 elides all
-  /// locking for single-threaded searches. `expected_components` pre-sizes
-  /// each region's table (components are shared across states, so even
-  /// million-state runs typically intern a few thousand per region).
-  explicit StateCompressor(const Layout& lay, int stripes = 1,
-                           std::size_t expected_components = 1024);
+  /// locking for single-threaded searches. Every stripe's table starts at
+  /// kMinSlots and doubles with the components it interns.
+  explicit StateCompressor(const Layout& lay, int stripes = 1);
 
   StateCompressor(const StateCompressor&) = delete;
   StateCompressor& operator=(const StateCompressor&) = delete;
@@ -194,6 +204,7 @@ class StateCompressor {
   };
 
   static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
+  static constexpr std::size_t kMinSlots = 8;
 
   std::uint32_t intern(Region& r, const Value* vals);
   std::uint32_t intern_hashed(Region& r, const Value* vals, std::uint64_t h);

@@ -105,8 +105,7 @@ class ProductSearch {
                 const std::atomic<bool>* stop = nullptr)
       : m_(m), ctx_(ctx), ba_(ba), opt_(opt), engine_(engine),
         perm_seed_(perm_seed), stop_(stop), keys_(m.layout(), engine),
-        store_(std::min<std::uint64_t>(opt.max_states, std::uint64_t{1} << 16),
-               /*marked=*/true),
+        store_(/*marked=*/true),
         nr_(static_cast<std::size_t>(keys_.n_regions())) {
     PNP_CHECK(ctx.size() <= 64, "at most 64 propositions supported");
     PNP_CHECK(!opt.weak_fairness || m.n_processes() <= 62,

@@ -56,6 +56,23 @@ explore::Options to_explore_options(const VerifyOptions& opt) {
   return eopt;
 }
 
+/// The bitstate rung's filter size: VerifyOptions::bitstate_bytes, cut to
+/// fit the memory budget. The exact rung's stores are freed by the time the
+/// rung starts, so what remains is the budget less the observer's
+/// footprint. The filter takes half of that, split evenly across the
+/// workers (each swarm worker holds its own filter); the other half is room
+/// for the search stack, so the rung's own budget check stops on coverage
+/// and not on the filter it was handed.
+std::uint64_t bitstate_filter_bytes(const VerifyOptions& opt,
+                                    const obs::Observer* ob, int workers) {
+  if (opt.memory_budget_bytes == 0) return opt.bitstate_bytes;
+  const std::uint64_t held = ob != nullptr ? ob->approx_bytes() : 0;
+  const std::uint64_t left =
+      opt.memory_budget_bytes > held ? opt.memory_budget_bytes - held : 0;
+  const std::uint64_t share = left / 2 / static_cast<std::uint64_t>(workers);
+  return std::max<std::uint64_t>(std::min(opt.bitstate_bytes, share), 64);
+}
+
 /// The degradation ladder. Stage 1 is the exact search. When it is
 /// truncated (max_states / deadline / memory budget) without reaching a
 /// verdict, stage 2 reruns with bitstate hashing and a widened filter: the
@@ -65,7 +82,8 @@ explore::Options to_explore_options(const VerifyOptions& opt) {
 /// going down the ladder, and the recorded stages say exactly what ran.
 void run_ladder(const kernel::Machine& m, explore::Options eopt,
                 const VerifyOptions& opt, SafetyOutcome& out) {
-  const bool parallel = explore::resolve_threads(opt.threads) > 1;
+  const int workers = explore::resolve_threads(opt.threads);
+  const bool parallel = workers > 1;
   obs::Observer* ob = opt.obs;
   // Minimized rungs: quotient every proctype, then explore the product of
   // the quotients. The reduced machine shares m's SystemSpec, so invariant
@@ -182,7 +200,7 @@ void run_ladder(const kernel::Machine& m, explore::Options eopt,
     eopt.config_digest.clear();
     eopt.resume_from = nullptr;
     eopt.bitstate = true;
-    eopt.bitstate_bytes = opt.bitstate_bytes;
+    eopt.bitstate_bytes = bitstate_filter_bytes(opt, ob, workers);
     run_rung(prefix + (parallel ? "swarm-bitstate" : "bitstate"));
   }
 }

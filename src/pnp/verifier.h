@@ -46,7 +46,9 @@ struct VerifyOptions : ExecBudget {
   /// with bitstate hashing and a widened filter so the caller still gets
   /// high-coverage approximate answers instead of a silent partial result.
   bool degrade = true;
-  /// Bloom-filter size for the bitstate fallback stage.
+  /// Bloom-filter size for the bitstate fallback stage. Under a memory
+  /// budget the stage gets at most half of what the budget leaves, split
+  /// across swarm workers, so the filter never outgrows the budget.
   std::uint64_t bitstate_bytes = std::uint64_t{1} << 26;
   /// Minimize every proctype (ladder stage names gain a "minimized-"
   /// prefix, e.g. "minimized-exact"). The composed machine then explores

@@ -193,13 +193,17 @@ void VerificationCache::record(const ObligationKey& key, CacheEntry entry) {
   if (entry.kind.empty()) entry.kind = key.kind;
   if (entry.label.empty()) entry.label = key.label;
   std::lock_guard<std::mutex> lock(mu_);
-  entries_[entry.digest] = std::move(entry);
+  CacheEntry& slot = entries_[entry.digest];
+  if (slot == entry) return;
+  slot = std::move(entry);
+  dirty_ = true;
 }
 
 bool VerificationCache::flush() const {
   if (!enabled()) return true;
   std::lock_guard<std::mutex> lock(mu_);
   if (persist_failed_) return false;  // already degraded to uncached
+  if (!dirty_) return true;           // the file already holds every entry
   std::ostringstream os;
   os << "{\"version\": " << kCacheFormatVersion << ",\n\"obligations\": [";
   bool first = true;
@@ -232,7 +236,10 @@ bool VerificationCache::flush() const {
       if (out) {
         std::error_code ec;
         std::filesystem::rename(tmp, file_, ec);
-        if (!ec) return true;
+        if (!ec) {
+          dirty_ = false;
+          return true;
+        }
       }
     }
     std::error_code ec;

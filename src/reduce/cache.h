@@ -52,6 +52,8 @@ struct CacheEntry {
   std::string stage;  // verification stage that produced the verdict
   std::uint64_t states_stored{0};
   double seconds{0.0};  // what the original verification cost
+
+  bool operator==(const CacheEntry&) const = default;
 };
 
 /// JSON-backed obligation store. A default-constructed cache is disabled:
@@ -77,10 +79,14 @@ class VerificationCache {
   /// Returns the stored verdict for `key`, if any, and counts a hit or a
   /// miss (the hit-rate statistics the bench and reports surface).
   std::optional<CacheEntry> lookup(const ObligationKey& key);
-  /// Stores (or overwrites) the verdict for `key`.
+  /// Stores (or overwrites) the verdict for `key`. Recording an entry equal
+  /// to the stored one changes nothing, so the next flush() has nothing to
+  /// write.
   void record(const ObligationKey& key, CacheEntry entry);
   /// Persists all entries atomically (write-to-temp + rename), so a crash
-  /// mid-flush leaves the previous cache file intact. A short write or
+  /// mid-flush leaves the previous cache file intact. Writes only when a
+  /// record() since the last successful flush changed an entry: a verify
+  /// answered wholly from the cache touches no file. A short write or
   /// rename failure (disk full, permissions) is retried a bounded number
   /// of times, then the cache degrades to uncached for the rest of the
   /// process: in-memory entries keep serving lookups, later flushes are
@@ -114,6 +120,9 @@ class VerificationCache {
   std::unordered_map<std::string, CacheEntry> entries_;
   int hits_{0};
   int misses_{0};
+  /// Set by a record() that changed an entry, cleared by a successful
+  /// flush(); mutable for the same reason as persist_failed_.
+  mutable bool dirty_{false};
   /// Set by flush() on unrecoverable I/O failure; mutable because losing
   /// persistence does not change the cache's logical (const) contents.
   mutable bool persist_failed_{false};

@@ -24,6 +24,8 @@
 #include "explore/visited.h"
 #include "kernel/compress.h"
 #include "kernel/machine.h"
+#include "ltl/product.h"
+#include "pml/parser.h"
 #include "pnp/generator.h"
 #include "support/hash.h"
 
@@ -265,7 +267,7 @@ TEST(FlatStore, KeyArenaRoundTripsAcrossSlabs) {
 }
 
 TEST(FlatStore, FlatKeySetMatchesReferenceSet) {
-  explore::FlatKeySet set;  // expected=0: starts tiny, must grow many times
+  explore::FlatKeySet set;  // starts at its minimum, must grow many times
   std::set<std::vector<std::uint8_t>> ref;
   std::mt19937_64 rng(13);
   for (int i = 0; i < 50000; ++i) {
@@ -280,16 +282,107 @@ TEST(FlatStore, FlatKeySetMatchesReferenceSet) {
   EXPECT_GT(set.approx_bytes(), 0u);
 }
 
-TEST(FlatStore, ReserveDoesNotDisturbMembership) {
-  explore::FlatKeySet set;
-  std::mt19937_64 rng(17);
-  std::vector<std::vector<std::uint8_t>> keys;
-  for (int i = 0; i < 500; ++i) keys.push_back(random_key(rng));
-  for (const auto& k : keys) set.insert(k, hash_bytes(k));
-  const std::uint64_t n = set.size();
-  set.reserve(100000);
-  for (const auto& k : keys) EXPECT_FALSE(set.insert(k, hash_bytes(k)));
-  EXPECT_EQ(set.size(), n);
+// The first 2 MiB of offsets are doubling heap chunks, later ones whole
+// slabs: records and mark pointers must not notice either seam.
+TEST(FlatStore, KeyArenaRecordsStayValidAcrossTheFirstSlab) {
+  explore::KeyArena arena;
+  std::mt19937_64 rng(19);
+  struct Rec {
+    std::uint32_t off;
+    std::vector<std::uint8_t> key;
+    std::uint8_t* mark;
+  };
+  std::vector<Rec> recs;
+  recs.push_back({arena.append({}, /*marked=*/true), {}, nullptr});
+  // a first record costs a small chunk, not a slab
+  EXPECT_LT(arena.bytes(), std::uint64_t{4} << 10);
+  std::uint64_t appended = 3;
+  // up to the second whole slab: both seams, chunk->slab and slab->slab
+  while (arena.bytes() < 3 * explore::KeyArena::kSlabBytes) {
+    std::vector<std::uint8_t> key = random_key(rng);
+    appended += key.size() + 3;
+    recs.push_back({arena.append(key, /*marked=*/true), std::move(key),
+                    nullptr});
+    // chunks double, so the arena holds at most about twice what was
+    // appended (plus chunk tails too short for the next record)
+    EXPECT_LE(arena.bytes(), 2 * appended + (std::uint64_t{16} << 10));
+  }
+  // Mark pointers are taken early and written late: no record moved.
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    recs[i].mark = arena.mark(recs[i].off);
+    EXPECT_EQ(*recs[i].mark, 0u);
+    *recs[i].mark = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  bool below = false;
+  bool above = false;
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    const Rec& r = recs[i];
+    below |= r.off < explore::KeyArena::kSlabBytes;
+    above |= r.off >= explore::KeyArena::kSlabBytes;
+    EXPECT_TRUE(arena.equals(r.off, r.key));
+    const auto rec = arena.at(r.off);
+    ASSERT_EQ(std::vector<std::uint8_t>(rec.begin(), rec.end()), r.key);
+    EXPECT_EQ(arena.mark(r.off), r.mark);
+    EXPECT_EQ(*r.mark, static_cast<std::uint8_t>(i * 7 + 1));
+  }
+  EXPECT_TRUE(below);
+  EXPECT_TRUE(above);
+  EXPECT_EQ(arena.resident_bytes(), arena.bytes());
+}
+
+// examples/models/producer_consumer.pml with eight messages over a
+// three-slot channel: 436 states, the size of a typical design-loop check.
+constexpr const char* kProducerConsumer8 = R"(
+  chan box = [3] of { byte };
+  byte received;
+  active proctype Producer() {
+    byte i = 1;
+    do
+    :: i <= 8 -> box!i; i++
+    :: i > 8 -> break
+    od
+  }
+  active proctype Consumer() {
+    byte j = 1;
+    byte v;
+    do
+    :: j <= 8 -> box?v; assert(v == j); received++; j++
+    :: j > 8 -> break
+    od
+  }
+)";
+
+// Stores are sized by the states they hold: a search of a few hundred
+// states reports kilobytes -- sequential, parallel (64 shards, 16 intern
+// stripes) and the LTL product alike -- where fixed pre-sizes made every
+// such search hold megabytes before its first state.
+TEST(FlatStore, SmallSearchesHoldSmallStores) {
+  model::SystemSpec sys = pml::parse(kProducerConsumer8);
+  const expr::Ref invariant = pml::parse_global_expr(sys, "received <= 8");
+  ltl::PropertyContext props;
+  props.add("done", pml::parse_global_expr(sys, "received == 8"));
+  const Machine m(sys);
+  auto bound = [](std::uint64_t states) {
+    return (std::uint64_t{64} << 10) + 64 * states;
+  };
+  for (const int threads : {1, 2}) {
+    explore::Options o;
+    o.threads = threads;
+    o.invariant = invariant;
+    const explore::Result r = explore::explore(m, o);
+    ASSERT_TRUE(r.ok());
+    ASSERT_TRUE(r.stats.complete);
+    EXPECT_EQ(r.stats.states_stored, 436u) << "threads=" << threads;
+    EXPECT_GT(r.stats.store_bytes, 0u) << "threads=" << threads;
+    EXPECT_LT(r.stats.store_bytes, bound(r.stats.states_stored))
+        << "threads=" << threads;
+  }
+  const ltl::LtlResult r = ltl::check_ltl(m, props, "G (done -> G done)");
+  ASSERT_TRUE(r.holds);
+  ASSERT_TRUE(r.stats.complete);
+  EXPECT_GT(r.stats.states_stored, 436u);
+  EXPECT_GT(r.stats.store_bytes, 0u);
+  EXPECT_LT(r.stats.store_bytes, bound(r.stats.states_stored));
 }
 
 // -- store equivalence -------------------------------------------------------

@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -151,6 +152,56 @@ TEST(Spill, FlatKeySetKeepsAllKeysAcrossTheSpillBoundary) {
   EXPECT_EQ(set.size(), 2 * kHalf);
 }
 
+/// A marked set (the LTL product store) whose arena spills while still in
+/// its doubling first slab and then grows into whole spilled slabs: mark
+/// pointers taken on either side of both seams stay live, and for_each_key
+/// enumerates every key exactly once.
+TEST(Spill, MarkedSetStaysValidAcrossTheFirstSlab) {
+  TempDir dir;
+  support::SpillPool pool(dir.str());
+  explore::FlatKeySet set(/*marked=*/true);
+  auto key = [](std::uint32_t i) {
+    std::vector<std::uint8_t> k(40 + i % 7);
+    for (std::size_t j = 0; j < k.size(); ++j)
+      k[j] = static_cast<std::uint8_t>((i >> (8 * (j % 4))) ^ j);
+    return k;
+  };
+  // ~47 B records: 10,000 keys stay inside the first 2 MiB of offsets,
+  // 120,000 reach well past it.
+  constexpr std::uint32_t kBeforeSpill = 10'000;
+  constexpr std::uint32_t kTotal = 120'000;
+  std::vector<std::uint8_t*> marks;
+  for (std::uint32_t i = 0; i < kTotal; ++i) {
+    if (i == kBeforeSpill) {
+      const std::uint64_t resident = set.approx_bytes();
+      set.attach_spill(&pool);
+      EXPECT_EQ(set.approx_bytes(), resident);
+    }
+    const auto k = key(i);
+    std::uint8_t* m = set.find_or_insert(k, hash_bytes(k));
+    EXPECT_EQ(*m, 0u);
+    *m = static_cast<std::uint8_t>(i % 251 + 1);
+    marks.push_back(m);
+  }
+  ASSERT_EQ(set.size(), kTotal);
+  // the spilled chunks run past the first slab, resident memory does not
+  EXPECT_GT(set.spill_bytes(), explore::KeyArena::kSlabBytes);
+  EXPECT_LT(set.approx_bytes(), explore::KeyArena::kSlabBytes + (kTotal * 16));
+  for (std::uint32_t i = 0; i < kTotal; ++i) {
+    const auto k = key(i);
+    std::uint8_t* m = set.find_or_insert(k, hash_bytes(k));
+    ASSERT_EQ(m, marks[i]) << i;
+    EXPECT_EQ(*m, static_cast<std::uint8_t>(i % 251 + 1)) << i;
+  }
+  std::set<std::vector<std::uint8_t>> seen;
+  set.for_each_key([&](std::span<const std::uint8_t> k) {
+    EXPECT_TRUE(seen.emplace(k.begin(), k.end()).second);
+  });
+  ASSERT_EQ(seen.size(), kTotal);
+  for (std::uint32_t i = 0; i < kTotal; i += 997)
+    EXPECT_TRUE(seen.count(key(i))) << i;
+}
+
 /// A memory budget far below the search footprint must complete EXACTLY via
 /// spill: same state count, no truncation, no bitstate degradation.
 TEST(Spill, ExplorationBelowBudgetCompletesExactly) {
@@ -162,8 +213,8 @@ TEST(Spill, ExplorationBelowBudgetCompletesExactly) {
   for (const int threads : {1, 2}) {
     TempDir dir;
     explore::Options o = fx.opts(threads);
-    // well below the ~3 MB footprint, and small enough that the stores
-    // spill while most of their slabs are still unallocated
+    // well below the ~1.6 MB footprint, and small enough that the stores
+    // spill while most of their chunks are still unallocated
     o.memory_budget_bytes = std::uint64_t{1} << 18;
     o.spill_dir = dir.str();
     const explore::Result r = explore::explore(*fx.m, o);
@@ -171,8 +222,8 @@ TEST(Spill, ExplorationBelowBudgetCompletesExactly) {
     EXPECT_TRUE(r.stats.complete) << "threads=" << threads;
     EXPECT_EQ(r.stats.truncation, explore::TruncationReason::None);
     EXPECT_TRUE(r.stats.spilled);
-    // spill_bytes counts whole post-spill slabs; the parallel store's
-    // per-stripe arenas may legitimately never need a second slab on a
+    // spill_bytes counts whole post-spill chunks; the parallel store's
+    // per-shard arenas may legitimately never need another chunk on a
     // model this small, so the byte assertion is sequential-only
     if (threads == 1) EXPECT_GT(r.stats.spill_bytes, 0u);
     EXPECT_EQ(r.stats.states_stored, ref.stats.states_stored)

@@ -599,7 +599,7 @@ TEST(LtlBudget, DeadlineStopsTheProductSearch) {
 
 TEST(LtlBudget, MemoryBudgetStopsTheProductSearch) {
   CheckOptions o = fair();
-  o.memory_budget_bytes = std::uint64_t{1} << 20;  // under one arena slab
+  o.memory_budget_bytes = std::uint64_t{1} << 20;  // a sixth of the search
   expect_truncated(o, explore::TruncationReason::MemoryBudget);
 }
 
@@ -642,20 +642,24 @@ TEST(LtlBudget, StoppedSearchStartsNoFurtherOuterSearch) {
        build_buchi(pool, pool.negate(phi), &c.props).states)
     initial += q.initial ? 1 : 0;
   ASSERT_GT(initial, 1);
-  ASSERT_TRUE(check_ltl(*c.m, c.props, "G F top").holds);
+  const LtlResult ref = check_ltl(*c.m, c.props, "G F top");
+  ASSERT_TRUE(ref.holds);
   for (const auto why : {explore::TruncationReason::Deadline,
                          explore::TruncationReason::MemoryBudget}) {
     CheckOptions o;
     if (why == explore::TruncationReason::Deadline)
       o.deadline_seconds = 1e-9;
     else
-      o.memory_budget_bytes = std::uint64_t{1} << 20;
+      // Half the complete search's footprint: the stack is near its full
+      // depth by pass 1024, so the first check already trips.
+      o.memory_budget_bytes = ref.stats.approx_memory_bytes / 2;
     const LtlResult r = check_ltl(*c.m, c.props, "G F top", o);
     const std::string what = explore::truncation_reason_name(why);
     EXPECT_TRUE(r.holds) << what;
     EXPECT_FALSE(r.violation.has_value()) << what;
     EXPECT_FALSE(r.stats.complete) << what;
     EXPECT_EQ(r.stats.truncation, why) << what;
+    EXPECT_LT(r.stats.states_stored, ref.stats.states_stored) << what;
   }
 }
 

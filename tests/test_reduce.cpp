@@ -6,8 +6,13 @@
 // accounting across a plug-and-play swap iteration.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <thread>
+#include <vector>
 
 #include "pnp/pnp.h"
 #include "reduce/cache.h"
@@ -405,6 +410,102 @@ TEST(Cache, ConnectorSwapReverifiesOnlyDirtiedSlice) {
   arch.set_channel(arch.find_connector("Reply1"), {ChannelKind::SingleSlot, 1});
   const SuiteReport restored = verify_obligations(arch, rpc_suite(dir.path()));
   EXPECT_EQ(restored.recomputed(), 0) << restored.report();
+}
+
+/// The cache file's identity: a rewrite (temp file + rename) gives it a
+/// new inode even when the bytes and the clock tick happen to match.
+struct FileStamp {
+  ino_t inode;
+  std::int64_t mtime_ns;
+  bool operator==(const FileStamp&) const = default;
+};
+
+FileStamp stamp(const std::string& path) {
+  struct stat st{};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return {st.st_ino, static_cast<std::int64_t>(st.st_mtim.tv_sec) *
+                         1'000'000'000 + st.st_mtim.tv_nsec};
+}
+
+TEST(Cache, AllHitVerifyLeavesTheFileUntouched) {
+  CacheDir dir("pnp_test_cache_untouched");
+  RunConfig cfg;
+  cfg.max_states = 2'000'000;
+  cfg.minimize = MinimizeMode::Weak;
+  cfg.invariant_text = "c0_done <= 1";
+  cfg.end_invariant_text = "c0_done == 1 && c1_done == 1";
+  cfg.cache_dir = dir.path();
+  cfg.heartbeat = false;
+  Session session(cfg);
+  Architecture arch = rpc();
+  const RunReport cold = session.verify(arch);
+  ASSERT_TRUE(cold.passed) << cold.report();
+  ASSERT_EQ(cold.cache_hits(), 0);
+  const std::string file = dir.path() + "/obligations.json";
+  const FileStamp written = stamp(file);
+
+  // Long enough for a rewrite to move the mtime on any common filesystem.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const RunReport warm = session.verify(arch);
+  EXPECT_EQ(warm.recomputed(), 0) << warm.report();
+  EXPECT_EQ(stamp(file), written);
+  EXPECT_FALSE(std::filesystem::exists(file + ".tmp"));
+
+  // A verify that records a verdict still replaces the file.
+  arch.set_channel(arch.find_connector("Reply1"), {ChannelKind::Fifo, 2});
+  const RunReport swapped = session.verify(arch);
+  ASSERT_GT(swapped.recomputed(), 0);
+  EXPECT_NE(stamp(file).inode, written.inode);
+  reduce::VerificationCache reload(dir.path());
+  EXPECT_EQ(reload.size(), 6u + 4u);  // the swap added 4 obligations
+}
+
+// pnpd workers share one cache: records, lookups and flushes race on the
+// entries and on the dirty state that decides whether a flush writes.
+// Run under TSan by scripts/check.sh --tsan.
+TEST(Cache, ConcurrentRecordLookupFlushKeepsEveryEntry) {
+  CacheDir dir("pnp_test_cache_concurrent");
+  constexpr int kThreads = 4;
+  constexpr int kKeys = 50;
+  auto key_of = [](int t, int i) {
+    reduce::ObligationKey k;
+    k.kind = "safety";
+    k.label = "t" + std::to_string(t);
+    k.slice_hash = static_cast<std::uint64_t>(t);
+    k.property_hash = static_cast<std::uint64_t>(i);
+    return k;
+  };
+  {
+    reduce::VerificationCache cache(dir.path());
+    std::vector<std::thread> crew;
+    for (int t = 0; t < kThreads; ++t)
+      crew.emplace_back([&, t] {
+        for (int i = 0; i < kKeys; ++i) {
+          const reduce::ObligationKey k = key_of(t, i);
+          cache.record(k, {"", "", "", true, "exact",
+                           static_cast<std::uint64_t>(i), 0.0});
+          // re-recording an equal verdict is not a change
+          cache.record(k, {"", "", "", true, "exact",
+                           static_cast<std::uint64_t>(i), 0.0});
+          EXPECT_TRUE(cache.lookup(k).has_value());
+          EXPECT_FALSE(cache.lookup(key_of(t + kThreads, i)).has_value());
+          if (i % 10 == 0) EXPECT_TRUE(cache.flush());
+        }
+      });
+    for (std::thread& th : crew) th.join();
+    EXPECT_TRUE(cache.flush());
+    EXPECT_EQ(cache.size(), static_cast<std::size_t>(kThreads * kKeys));
+    EXPECT_EQ(cache.hits(), kThreads * kKeys);
+    EXPECT_EQ(cache.misses(), kThreads * kKeys);
+  }
+  reduce::VerificationCache reload(dir.path());
+  ASSERT_EQ(reload.size(), static_cast<std::size_t>(kThreads * kKeys));
+  for (int t = 0; t < kThreads; ++t)
+    for (int i = 0; i < kKeys; ++i) {
+      const auto hit = reload.lookup(key_of(t, i));
+      ASSERT_TRUE(hit.has_value()) << t << "/" << i;
+      EXPECT_EQ(hit->states_stored, static_cast<std::uint64_t>(i));
+    }
 }
 
 TEST(Cache, OptionsChangeMissesCache) {

@@ -8,6 +8,7 @@
 #include "adl/adl.h"
 #include "explore/explorer.h"
 #include "model/builder.h"
+#include "pml/parser.h"
 #include "pnp/pnp.h"
 
 namespace pnp {
@@ -300,6 +301,70 @@ TEST(Ladder, TruncatedExactSearchDegradesToBitstate) {
             explore::TruncationReason::MaxStates);
   EXPECT_EQ(out.stages[1].name, "bitstate");
   EXPECT_NE(out.report().find("degradation ladder"), std::string::npos);
+}
+
+// examples/models/relay_mesh.pml with three items per pipeline instead
+// of five: 134,689 states, too many for a 512 KiB exact store.
+constexpr const char* kRelayMesh3 = R"(
+  chan a1 = [3] of { byte };
+  chan a2 = [3] of { byte };
+  chan b1 = [3] of { byte };
+  chan b2 = [3] of { byte };
+  byte tally;
+  active proctype SourceA() {
+    byte i = 0;
+    do :: i < 3 -> a1!i; i++ :: i >= 3 -> break od
+  }
+  active proctype RelayA() {
+    byte v;
+    end: do :: a1?v -> a2!v od
+  }
+  active proctype SinkA() {
+    byte v; byte expect = 0;
+    do
+    :: expect < 3 -> a2?v; assert(v == expect); expect++; tally++
+    :: expect >= 3 -> break
+    od
+  }
+  active proctype SourceB() {
+    byte i = 0;
+    do :: i < 3 -> b1!i; i++ :: i >= 3 -> break od
+  }
+  active proctype RelayB() {
+    byte v;
+    end: do :: b1?v -> b2!v od
+  }
+  active proctype SinkB() {
+    byte v; byte expect = 0;
+    do
+    :: expect < 3 -> b2?v; assert(v == expect); expect++; tally++
+    :: expect >= 3 -> break
+    od
+  }
+)";
+
+// The bitstate rung is sized inside the budget the exact rung ran out of:
+// its filter (one per swarm worker) stays under the budget, and the rung
+// covers the state space instead of stopping at its first budget check on
+// a filter eight times the budget.
+TEST(Ladder, BitstateRungFitsTheMemoryBudget) {
+  const model::SystemSpec sys = pml::parse(kRelayMesh3);
+  const kernel::Machine m(sys);
+  for (const int threads : {1, 2}) {
+    VerifyOptions opt;
+    opt.threads = threads;
+    opt.memory_budget_bytes = std::uint64_t{512} << 10;
+    const SafetyOutcome out = check_safety(m, opt);
+    ASSERT_EQ(out.stages.size(), 2u) << out.report();
+    EXPECT_EQ(out.stages[0].stats.truncation,
+              explore::TruncationReason::MemoryBudget);
+    const explore::Stats& bit = out.stages[1].stats;
+    EXPECT_LE(bit.store_bytes, opt.memory_budget_bytes) << out.report();
+    EXPECT_GT(bit.states_stored, 100'000u) << out.report();
+    EXPECT_EQ(bit.truncation, explore::TruncationReason::BitstateApprox)
+        << out.report();
+    EXPECT_TRUE(out.passed()) << out.report();
+  }
 }
 
 TEST(Ladder, CompleteSearchDoesNotDegrade) {
