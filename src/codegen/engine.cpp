@@ -33,22 +33,59 @@ bool parse_engine_kind(std::string_view text, EngineKind* out) {
   return true;
 }
 
-void Engine::successors(const kernel::State& s,
-                        std::vector<kernel::Succ>& out) const {
-  struct Collect final : kernel::SuccSink {
-    explicit Collect(std::vector<kernel::Succ>& o) : out(o) {}
-    bool on_successor(const kernel::State& ns,
-                      const kernel::Step& step) override {
-      out.emplace_back(ns, step);
+namespace {
+
+/// Forwards candidates to `inner` after dropping the first `skip`.
+class SkipSink final : public kernel::SuccSink {
+ public:
+  SkipSink(kernel::SuccSink& inner, std::uint32_t skip)
+      : inner_(inner), skip_(skip) {}
+
+  bool on_successor(const kernel::State& ns,
+                    const kernel::Step& step) override {
+    if (skip_ > 0) {
+      --skip_;
       return true;
     }
-    std::vector<kernel::Succ>& out;
-  } sink(out);
-  kernel::SuccScratch scratch;
-  visit_successors(s, scratch, sink);
-}
+    return inner_.on_successor(ns, step);
+  }
 
-namespace {
+ private:
+  kernel::SuccSink& inner_;
+  std::uint32_t skip_;
+};
+
+/// The kernel interpreter behind the seam. It has no native skip, so
+/// skipped candidates are still mutated and emitted, then dropped at the
+/// sink; it has no resume token (it clears the caller's) and no
+/// specialized store path.
+class InterpEngine final : public Engine {
+ public:
+  explicit InterpEngine(const kernel::Machine& m) : Engine(m) {}
+
+  EngineKind kind() const override { return EngineKind::Interp; }
+
+  void visit_successors(const kernel::State& s, kernel::SuccScratch& scratch,
+                        kernel::SuccSink& sink, std::uint32_t skip,
+                        std::uint64_t* resume) const override {
+    if (resume != nullptr) *resume = 0;
+    if (skip == 0) {
+      m_->visit_successors(s, scratch, sink);
+      return;
+    }
+    SkipSink rest(sink, skip);
+    m_->visit_successors(s, scratch, rest);
+  }
+
+  bool visit_successors_of(const kernel::State& s, int pid,
+                           kernel::SuccScratch& scratch,
+                           kernel::SuccSink& sink,
+                           std::uint32_t skip) const override {
+    if (skip == 0) return m_->visit_successors_of(s, pid, scratch, sink);
+    SkipSink rest(sink, skip);
+    return m_->visit_successors_of(s, pid, scratch, rest);
+  }
+};
 
 void dump_expr(const expr::Pool& pool, expr::Ref r, std::string& out) {
   if (r == expr::kNoExpr) {
@@ -155,7 +192,7 @@ std::unique_ptr<Engine> make_engine(const kernel::Machine& m,
                                     std::string* note) {
   switch (opt.kind) {
     case EngineKind::Interp:
-      return nullptr;  // callers treat null as "call the machine directly"
+      break;
     case EngineKind::Bytecode:
       return make_bytecode_engine(m);
     case EngineKind::Aot: {
@@ -169,7 +206,7 @@ std::unique_ptr<Engine> make_engine(const kernel::Machine& m,
       return make_bytecode_engine(m);
     }
   }
-  return nullptr;
+  return std::make_unique<InterpEngine>(m);
 }
 
 }  // namespace pnp::codegen

@@ -1,14 +1,16 @@
-// Successor-generation engines: pluggable replacements for the kernel's
-// interpreted Machine::visit_successors.
+// Successor-generation engines: the one seam every search generates
+// successors through.
 //
-// The kernel interprets the compiled CFG on every transition. An Engine is
-// an ahead-of-time specialization of that interpreter for ONE machine
+// The kernel interprets the compiled CFG on every transition; InterpEngine
+// (EngineKind::Interp) puts that interpreter behind the seam unchanged. The
+// compiled engines are ahead-of-time specializations of it for ONE machine
 // (SPIN's pan.c idea): guard and effect evaluation, channel operations, and
 // the undo-logged scratch mutation are compiled down before the search
-// starts, and the explorers call the engine instead of the machine.
+// starts.
 //
 // Equivalence contract (what every engine must guarantee, and what
-// tests/test_codegen.cpp checks differentially against the interpreter):
+// tests/test_codegen.cpp checks differentially against
+// Machine::visit_successors, the reference):
 //   * successors are byte-identical States emitted in the identical order;
 //   * Step fields (pid/trans/partner/event/assert_failed) match;
 //   * scratch.undo holds (slot, previous value) pairs covering every slot
@@ -38,7 +40,7 @@ class Observer;
 namespace pnp::codegen {
 
 enum class EngineKind : std::uint8_t {
-  Interp,    // the kernel interpreter (no Engine object; the historical path)
+  Interp,    // the kernel interpreter behind the seam (InterpEngine)
   Bytecode,  // threaded-bytecode expression programs + table-driven driver
   Aot,       // generated C++ translation unit, compiled and dlopen'd
 };
@@ -67,7 +69,8 @@ class Engine {
   /// frame's candidates each time; candidates below the frame's resume
   /// point were paying full mutate/emit/revert just to be dropped by the
   /// sink -- on the bridge benchmark that is ~73% extra generated
-  /// successors. The interpreter keeps the historical sink-side skip.
+  /// successors. The interpreter has no native skip: InterpEngine drops the
+  /// first `skip` candidates at the sink instead.
   ///
   /// `resume` is an optional in/out fast-forward token. On entry, a token
   /// written by the previous visit of the SAME state lets the engine start
@@ -78,8 +81,9 @@ class Engine {
   /// optimization: a process's candidates and any/else flags depend only on
   /// the state, never on other processes' sweeps, so jumping is observably
   /// identical to suppressing -- and an engine may ignore the token
-  /// entirely. Callers must pass a token only with the state that produced
-  /// it and a `skip` >= the token's candidate base.
+  /// entirely (InterpEngine only clears it). Callers must pass a token only
+  /// with the state that produced it and a `skip` >= the token's candidate
+  /// base.
   virtual void visit_successors(const kernel::State& s,
                                 kernel::SuccScratch& scratch,
                                 kernel::SuccSink& sink,
@@ -110,10 +114,6 @@ class Engine {
   static std::uint32_t resume_base(std::uint64_t tok) {
     return static_cast<std::uint32_t>(tok);
   }
-
-  /// Vector-building convenience (swarm workers permute materialized
-  /// successor lists; mirrors Machine::successors).
-  void successors(const kernel::State& s, std::vector<kernel::Succ>& out) const;
 
   /// Layout-specialized store path. When supported (layouts with at most 64
   /// COLLAPSE regions), the engine serves the two per-stored-state walks the
@@ -168,9 +168,8 @@ struct EngineOptions {
 /// Fallback ladder: `aot` falls back to `bytecode` when no host toolchain
 /// is available, compilation fails, or the machine uses a construct the
 /// emitter does not specialize (dynamic channel-id expressions); `bytecode`
-/// always succeeds. `interp` returns nullptr -- callers treat a null engine
-/// as "call the machine directly", keeping the historical path untouched.
-/// With opt.strict, any fallback raises ModelError instead. When `note` is
+/// and `interp` always succeed, so the result is never null. With
+/// opt.strict, any fallback raises ModelError instead. When `note` is
 /// non-null it receives a one-line explanation of any fallback taken.
 std::unique_ptr<Engine> make_engine(const kernel::Machine& m,
                                     const EngineOptions& opt,

@@ -21,15 +21,15 @@ namespace pnp::explore {
 // so it stays inlinable into their loops.
 class CollapseKeys {
  public:
-  /// `engine` (may be null) serves the dirty-mask / region-hash store path
-  /// when it supports this layout (Engine::encode_support, <= 64 regions).
-  CollapseKeys(const kernel::Layout& lay, const codegen::Engine* engine)
+  /// `engine` serves the dirty-mask / region-hash store path when it
+  /// supports this layout (Engine::encode_support, <= 64 regions).
+  CollapseKeys(const kernel::Layout& lay, const codegen::Engine& engine)
       : compressor_(lay, /*stripes=*/1) {
     const std::size_t n = static_cast<std::size_t>(compressor_.n_regions());
     ids_.resize(n);
     dirty_.resize(n);
-    if (engine != nullptr && engine->encode_support() && n <= 64) {
-      enc_engine_ = engine;
+    if (engine.encode_support() && n <= 64) {
+      enc_engine_ = &engine;
       region_hashes_.resize(n);
     }
   }

@@ -48,18 +48,11 @@ const char* truncation_reason_name(TruncationReason r) {
   return "?";
 }
 
-namespace {
+namespace detail {
 
-using kernel::Machine;
-using kernel::State;
-using kernel::Step;
-using kernel::Succ;
-
-constexpr std::uint64_t kBudgetCheckStride = 1024;
-
-std::optional<Violation> invariant_violation(const Machine& m,
+std::optional<Violation> invariant_violation(const kernel::Machine& m,
                                              const Options& opt,
-                                             const State& s) {
+                                             const kernel::State& s) {
   if (opt.invariant != expr::kNoExpr && m.eval_global(opt.invariant, s) == 0) {
     Violation v;
     v.kind = ViolationKind::InvariantViolated;
@@ -71,11 +64,9 @@ std::optional<Violation> invariant_violation(const Machine& m,
   return std::nullopt;
 }
 
-/// Checks that apply only to states with no successors (deadlock and the
-/// end-state invariant), in the historical precedence order.
-std::optional<Violation> terminal_violation(const Machine& m,
+std::optional<Violation> terminal_violation(const kernel::Machine& m,
                                             const Options& opt,
-                                            const State& s) {
+                                            const kernel::State& s) {
   if (opt.check_deadlock && !m.is_valid_end(s)) {
     Violation v;
     v.kind = ViolationKind::Deadlock;
@@ -96,39 +87,47 @@ std::optional<Violation> terminal_violation(const Machine& m,
   return std::nullopt;
 }
 
-/// Deterministic per-state successor shuffle for swarm workers: seeded by
-/// (worker seed, state key hash) so regenerating a DFS frame's successor
-/// list reproduces the exact same order.
-void permute_succs(std::vector<Succ>& succs, std::uint64_t perm_seed,
-                   const std::string& key) {
-  if (succs.size() < 2) return;
-  std::uint64_t x = avalanche64(perm_seed ^ hash_bytes(byte_span(key)));
-  for (std::size_t i = succs.size() - 1; i > 0; --i) {
-    // xorshift64* step, then reduce; bias is irrelevant here
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    const std::size_t j =
-        static_cast<std::size_t>((x * 0x2545f4914f6cdd1dull) % (i + 1));
-    std::swap(succs[i], succs[j]);
-  }
-}
+}  // namespace detail
+
+namespace {
+
+using detail::invariant_violation;
+using detail::terminal_violation;
+using kernel::Machine;
+using kernel::State;
+using kernel::Step;
+using kernel::Succ;
+
+constexpr std::uint64_t kBudgetCheckStride = 1024;
 
 /// The streaming sequential engine: COLLAPSE component compression, flat
-/// visited store, and mutate-and-revert successor generation. Runs every
-/// non-permuted single-threaded search (exact and bitstate). Discovery
-/// order -- and therefore verdicts, stored-state counts, counterexample
-/// trails, and the exact bit pattern of the bitstate filter -- is identical
-/// to the historical copy-based engine (DESIGN.md section 11 has the
-/// step-by-step argument).
+/// visited store, and mutate-and-revert successor generation through the
+/// run's engine. Runs every single-threaded search (exact and bitstate),
+/// swarm workers included. Discovery order -- and therefore verdicts,
+/// stored-state counts, counterexample trails, and the exact bit pattern of
+/// the bitstate filter -- is identical to the historical copy-based engine
+/// (DESIGN.md section 11 has the step-by-step argument).
 class FlatRun {
  public:
-  FlatRun(const Machine& m, const Options& opt, const std::atomic<bool>* stop)
+  FlatRun(const Machine& m, const Options& opt, std::uint64_t seed,
+          const std::atomic<bool>* stop)
       : m_(m),
         opt_(opt),
-        visited_(opt.bitstate, opt.bitstate_bytes),
-        keys_(m.layout(), opt.engine),
+        eng_(*opt.engine),
+        visited_(opt.bitstate, opt.bitstate_bytes, seed),
+        keys_(m.layout(), *opt.engine),
+        seed_(seed),
+        // The pipelined probe pays per-candidate bookkeeping to overlap the
+        // store's cache misses with the next candidates' generation. That
+        // wins under compiled engines and loses under the interpreter, whose
+        // generation dominates (DESIGN.md section 15.4); bitstate has no
+        // exact probe to pipeline.
+        defer_(!opt.bitstate &&
+               opt.engine->kind() != codegen::EngineKind::Interp),
         stop_(stop) {
+    PNP_CHECK(seed == 0 || opt.bitstate,
+              "a seeded search order requires bitstate mode (replayed "
+              "successors carry no undo log to delta-compress from)");
     if (opt.obs != nullptr) blk_ = opt.obs->recorder().open_block();
     if (!opt.checkpoint_path.empty() || opt.resume_from != nullptr) {
       PNP_CHECK(!opt.bitstate,
@@ -230,13 +229,12 @@ class FlatRun {
         ++run_.transitions_;
       }
       if (i < f_.next) return true;  // handled in an earlier pass
-      if (defer_) return run_.dfs_deferred(ns, step, f_, *this);
+      if (run_.defer_) return run_.dfs_deferred(ns, step, f_, *this);
       ++f_.next;
       return run_.dfs_candidate(ns, step, f_, *this);
     }
 
     Outcome outcome = Outcome::Exhausted;
-    bool defer_ = false;  // engine path: pipeline the visited probes
     std::uint32_t idx_ = 0;
     State child;      // fresh child (Outcome::Child) or final state (Violation)
     Step child_step;  // its in-step / the violating extra step
@@ -285,7 +283,7 @@ class FlatRun {
     return false;
   }
 
-  // A successor whose visited probe is in flight. The engine-path sink
+  // A successor whose visited probe is in flight. The pipelined sink
   // defers each candidate's dup check across the next two emits: the probe
   // slot is prefetched when the candidate is compressed, the cluster walk
   // runs one emit later (slot line in cache, arena record of a fingerprint
@@ -307,7 +305,7 @@ class FlatRun {
     std::uint8_t stage = 0;  // 0 empty, 1 slot prefetched, 2 record prefetched
   };
 
-  /// Engine-path candidate handling: stages this candidate's visited probe
+  /// Pipelined candidate handling: stages this candidate's visited probe
   /// and advances the two in-flight ones. Candidates still resolve in
   /// stream order, so outcomes, `next` bookkeeping, and verdicts are
   /// identical to the immediate path -- the one observable difference is
@@ -486,8 +484,7 @@ class FlatRun {
       if (first) {
         f.checked = true;
         if (opt_.por) {
-          f.por_choice = por_choose(m_, f.state, proviso, scratch_,
-                                    opt_.engine);
+          f.por_choice = por_choose(eng_, f.state, proviso, scratch_);
           if (f.por_choice >= 0) ++por_ample_;
         }
         max_depth_seen_ = std::max(max_depth_seen_,
@@ -502,30 +499,18 @@ class FlatRun {
         }
       }
       DfsSink sink(*this, f);
-      if (opt_.por) {
-        if (opt_.engine) {
-          // Engine-backed POR: same native skip / resume-token / deferred-
-          // probe pipeline as the plain engine path below, applied to the
-          // recorded ample choice's stream (full sweep when choice < 0).
-          sink.idx_ = f.next;
-          sink.defer_ = !opt_.bitstate;
-          por_visit(m_, f.state, f.por_choice, scratch_, sink, opt_.engine,
-                    f.next, &f.resume);
-          drain_pending(f, sink);
-        } else {
-          por_visit(m_, f.state, f.por_choice, scratch_, sink);
-        }
-      } else if (opt_.engine) {
-        // Compiled engines suppress the already-handled candidates natively
-        // (guard bookkeeping intact, no mutate/emit/revert): start the sink's
-        // index where the engine resumes so candidate numbering is unchanged.
+      if (seed_ != 0) {
+        seeded_visit(f.state, f.por_choice, sink);
+      } else {
+        // The engine suppresses the already-handled candidates itself: start
+        // the sink's index where the stream resumes so candidate numbering
+        // is unchanged. The stream is the recorded ample choice's under POR
+        // (a full sweep when the choice is -1).
         sink.idx_ = f.next;
-        sink.defer_ = !opt_.bitstate;
-        opt_.engine->visit_successors(f.state, scratch_, sink, f.next,
-                                      &f.resume);
+        por_visit(eng_, f.state, f.por_choice, scratch_, sink, f.next,
+                  &f.resume);
         drain_pending(f, sink);  // in-flight candidates' probes, in order
-      } else
-        m_.visit_successors(f.state, scratch_, sink);
+      }
       switch (sink.outcome) {
         case Outcome::Violation:
           sink.violation.trace = stack_trace(&sink.child_step, &sink.child);
@@ -683,14 +668,15 @@ class FlatRun {
       // nodes_ while expanding the head is safe.
       const State& hs = nodes_[static_cast<std::size_t>(head)].state;
       BfsSink sink(*this, head);
+      int choice = -1;
       if (opt_.por) {
-        const int choice = por_choose(m_, hs, nullptr, scratch_, opt_.engine);
+        choice = por_choose(eng_, hs, nullptr, scratch_);
         if (choice >= 0) ++por_ample_;
-        por_visit(m_, hs, choice, scratch_, sink, opt_.engine);
-      } else if (opt_.engine)
-        opt_.engine->visit_successors(hs, scratch_, sink);
+      }
+      if (seed_ != 0)
+        seeded_visit(hs, choice, sink);
       else
-        m_.visit_successors(hs, scratch_, sink);
+        por_visit(eng_, hs, choice, scratch_, sink);
       if (sink.violated) {
         sink.violation.trace = build_trace(head, &sink.vstep, &sink.vstate);
         r.violation = std::move(sink.violation);
@@ -707,6 +693,23 @@ class FlatRun {
     }
     max_depth_seen_ = 0;  // depth tracking is a DFS notion
     return r;
+  }
+
+  /// A swarm worker's pass (seed_ != 0): collects the state's candidate
+  /// stream (the ample stream under POR), shuffles it by the worker seed
+  /// and the state's raw encoding -- so every pass over a state sees one
+  /// order -- and replays it into `sink`. Swarm runs are bitstate, whose
+  /// keys are raw encodings that need no undo log, so the replayed copies
+  /// key exactly.
+  void seeded_visit(const State& s, int choice, kernel::SuccSink& sink) {
+    succs_.clear();
+    kernel::CollectSink collect(succs_);
+    por_visit(eng_, s, choice, scratch_, collect);
+    kernel::encode_key_into(s, probe_buf_);
+    seeded_shuffle(std::span<Succ>(succs_),
+                   avalanche64(seed_ ^ hash_bytes(byte_span(probe_buf_))));
+    for (const Succ& succ : succs_)
+      if (!sink.on_successor(succ.first, succ.second)) break;
   }
 
   /// Key of the root state (no parent to delta against). Exact mode uses
@@ -952,15 +955,19 @@ class FlatRun {
 
   const Machine& m_;
   const Options& opt_;
+  const codegen::Engine& eng_;
   VisitedSet visited_;
   CollapseKeys keys_;  // exact-mode keys (COLLAPSE, delta from parent ids)
+  std::uint64_t seed_;  // swarm order and filter seed; 0 = canonical search
+  bool defer_;          // pipeline the DFS's visited probes (see dfs_deferred)
   const std::atomic<bool>* stop_ = nullptr;
 
   kernel::SuccScratch scratch_;
   std::vector<Frame> stack_;
   std::deque<BfsNode> nodes_;
   std::unordered_set<std::string> on_stack_;
-  Pending pend_[2];  // engine-path probe pipeline, oldest first (DFS only)
+  Pending pend_[2];  // DFS probe pipeline, oldest first
+  std::vector<Succ> succs_;  // a seeded pass's candidates
   std::string probe_buf_;
 
   std::uint64_t matched_ = 0;
@@ -990,343 +997,6 @@ class FlatRun {
   std::vector<Checkpoint::Pending> overflow_;  // stored-not-expanded on limit
 };
 
-/// The legacy copy-based engine, retained exclusively for swarm workers
-/// with a nonzero permutation seed: shuffling a state's successor order
-/// requires the whole list materialized, so these searches keep building
-/// successor vectors and raw keys. Worker 0 of a swarm (seed 0) runs the
-/// streaming engine above instead.
-class PermutedRun {
- public:
-  PermutedRun(const Machine& m, const Options& opt, std::uint64_t perm_seed,
-              std::uint64_t bitstate_seed, const std::atomic<bool>* stop)
-      : m_(m),
-        opt_(opt),
-        visited_(opt.bitstate, opt.bitstate_bytes, bitstate_seed),
-        perm_seed_(perm_seed),
-        stop_(stop) {
-    if (opt.obs != nullptr) blk_ = opt.obs->recorder().open_block();
-  }
-
-  Result go() {
-    start_ = std::chrono::steady_clock::now();
-    Result r = opt_.bfs ? bfs() : dfs();
-    r.stats.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-            .count();
-    r.stats.states_stored = visited_.size();
-    r.stats.states_matched = matched_;
-    r.stats.transitions = transitions_;
-    r.stats.max_depth_reached = max_depth_seen_;
-    r.stats.complete = complete_ && !opt_.bitstate;
-    r.stats.store_bytes = visited_.approx_bytes();
-    r.stats.approx_memory_bytes = visited_.approx_bytes() + frontier_bytes_;
-    // A hard truncation (deadline, limit) is the more actionable
-    // explanation; bitstate approximation is only reported when nothing
-    // else cut the search short.
-    r.stats.truncation = truncation_ != TruncationReason::None
-                             ? truncation_
-                             : (opt_.bitstate ? TruncationReason::BitstateApprox
-                                              : TruncationReason::None);
-    if (blk_ != nullptr) {
-      publish_counters();
-      opt_.obs->recorder().max_gauge(
-          obs::Gauge::MaxDepthReached,
-          static_cast<std::uint64_t>(max_depth_seen_));
-      r.stats.approx_memory_bytes += opt_.obs->approx_bytes();
-    }
-    return r;
-  }
-
- private:
-  // DFS frames do NOT own their successor lists: only the top-of-stack
-  // frame's successors are materialized (in a shared scratch vector) and
-  // they are regenerated when the search returns to a frame.
-  struct Frame {
-    State state;
-    std::string key;
-    Step in_step;  // step that produced this state (invalid at root)
-    std::uint32_t next = 0;
-    bool checked = false;
-    int por_choice = -1;  // recorded ample decision (see por_choose)
-  };
-
-  void truncate(TruncationReason why) {
-    complete_ = false;
-    if (truncation_ == TruncationReason::None) truncation_ = why;
-  }
-
-  bool over_budget(std::uint64_t frontier_bytes) {
-    if (opt_.deadline_seconds <= 0.0 && opt_.memory_budget_bytes == 0)
-      return false;
-    if (++budget_tick_ % kBudgetCheckStride != 0) return false;
-    frontier_bytes_ = frontier_bytes;
-    if (opt_.deadline_seconds > 0.0) {
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start_)
-              .count();
-      if (elapsed >= opt_.deadline_seconds) {
-        truncate(TruncationReason::Deadline);
-        return true;
-      }
-    }
-    if (opt_.memory_budget_bytes > 0 &&
-        visited_.approx_bytes() + frontier_bytes +
-                (opt_.obs != nullptr ? opt_.obs->approx_bytes() : 0) >=
-            opt_.memory_budget_bytes) {
-      truncate(TruncationReason::MemoryBudget);
-      return true;
-    }
-    return false;
-  }
-
-  /// Swarm workers publish their tallies every kBudgetCheckStride
-  /// expansions; the seeded searches overlap, so their counters are a
-  /// coverage-effort measure, not a deduplicated state count.
-  void observe() {
-    if (blk_ == nullptr) return;
-    if (++obs_tick_ % kBudgetCheckStride != 0) return;
-    publish_counters();
-    opt_.obs->progress(visited_.size(), opt_.max_states);
-  }
-
-  void publish_counters() {
-    blk_->set(obs::Counter::StatesStored, visited_.size());
-    blk_->set(obs::Counter::StatesMatched, matched_);
-    blk_->set(obs::Counter::Transitions, transitions_);
-    blk_->set(obs::Counter::PorAmpleSets, por_ample_);
-  }
-
-  /// Per-state checks (invariant, deadlock). Returns a violation or nullopt.
-  std::optional<Violation> check_state(const State& s, bool has_succ) {
-    if (auto v = invariant_violation(m_, opt_, s)) return v;
-    if (!has_succ) return terminal_violation(m_, opt_, s);
-    return std::nullopt;
-  }
-
-  trace::Trace stack_trace(const std::vector<Frame>& stack,
-                           const Succ* extra) const {
-    trace::Trace t;
-    if (!opt_.want_trace) return t;
-    for (std::size_t i = 1; i < stack.size(); ++i)
-      t.steps.push_back(
-          {stack[i].in_step, m_.describe_step(stack[i].in_step)});
-    if (extra)
-      t.steps.push_back({extra->second, m_.describe_step(extra->second)});
-    const State& final_state =
-        extra ? extra->first : stack.back().state;
-    t.final_state = m_.format_state(final_state);
-    return t;
-  }
-
-  Result dfs() {
-    Result r;
-    std::vector<Frame> stack;
-    std::unordered_set<std::string> on_stack;
-    const OnStackFn on_stack_fn = [&on_stack](const State& s) {
-      return on_stack.contains(kernel::encode_key(s));
-    };
-    const OnStackFn* proviso = opt_.por ? &on_stack_fn : nullptr;
-
-    Frame root;
-    root.state = m_.initial();
-    root.key = kernel::encode_key(root.state);
-    visited_.insert(byte_span(root.key));
-    stack.push_back(std::move(root));
-    if (opt_.por) on_stack.insert(stack.back().key);
-
-    std::vector<Succ> succs;          // successors of the top frame only
-    std::ptrdiff_t succs_for = -1;    // stack index the scratch belongs to
-
-    const std::uint64_t per_frame_bytes =
-        sizeof(Frame) + 2 * state_bytes();  // state vector + encoded key
-    while (!stack.empty()) {
-      if (stopped()) {
-        complete_ = false;
-        break;
-      }
-      if (over_budget(stack.size() * per_frame_bytes)) break;
-      observe();
-      const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(stack.size()) - 1;
-      Frame& f = stack[static_cast<std::size_t>(idx)];
-      if (succs_for != idx) {
-        succs.clear();
-        if (!f.checked && opt_.por) {
-          f.por_choice = por_choose(m_, f.state, proviso, opt_.engine);
-          if (f.por_choice >= 0) ++por_ample_;
-        }
-        if (opt_.por)
-          por_expand(m_, f.state, f.por_choice, succs, opt_.engine);
-        else if (opt_.engine)
-          opt_.engine->successors(f.state, succs);
-        else
-          m_.successors(f.state, succs);
-        if (perm_seed_ != 0) permute_succs(succs, perm_seed_, f.key);
-        succs_for = idx;
-        if (!f.checked) {
-          f.checked = true;
-          transitions_ += succs.size();
-          max_depth_seen_ = std::max(max_depth_seen_, static_cast<int>(idx));
-          if (auto v = check_state(f.state, !succs.empty())) {
-            v->trace = stack_trace(stack, nullptr);
-            r.violation = std::move(*v);
-            return r;
-          }
-        }
-      }
-      if (f.next >= succs.size()) {
-        if (opt_.por) on_stack.erase(f.key);
-        stack.pop_back();
-        succs_for = -1;
-        continue;
-      }
-      Succ& succ = succs[f.next++];
-      if (succ.second.assert_failed) {
-        Violation v;
-        v.kind = ViolationKind::AssertFailed;
-        v.message = "assertion failed: " + m_.describe_step(succ.second);
-        v.trace = stack_trace(stack, &succ);
-        r.violation = std::move(v);
-        return r;
-      }
-      std::string key = kernel::encode_key(succ.first);
-      if (!visited_.insert(byte_span(key))) {
-        ++matched_;
-        continue;
-      }
-      if (visited_.size() >= opt_.max_states) {
-        truncate(TruncationReason::MaxStates);
-        continue;
-      }
-      if (static_cast<int>(stack.size()) > opt_.max_depth) {
-        truncate(TruncationReason::MaxDepth);
-        continue;
-      }
-      Frame nf;
-      nf.state = std::move(succ.first);
-      nf.key = std::move(key);
-      nf.in_step = succ.second;
-      if (opt_.por) on_stack.insert(nf.key);
-      stack.push_back(std::move(nf));
-      succs_for = -1;  // the new top needs its own successor list
-    }
-    return r;
-  }
-
-  Result bfs() {
-    Result r;
-    struct Node {
-      State state;
-      std::int64_t parent;
-      Step in_step;
-    };
-    std::deque<Node> nodes;
-
-    auto build_trace = [&](std::int64_t i, const Succ* extra) {
-      trace::Trace t;
-      if (!opt_.want_trace) return t;
-      std::vector<trace::TraceStep> rev;
-      for (std::int64_t j = i; j > 0; j = nodes[static_cast<std::size_t>(j)].parent)
-        rev.push_back({nodes[static_cast<std::size_t>(j)].in_step,
-                       m_.describe_step(nodes[static_cast<std::size_t>(j)].in_step)});
-      t.steps.assign(rev.rbegin(), rev.rend());
-      if (extra)
-        t.steps.push_back({extra->second, m_.describe_step(extra->second)});
-      t.final_state = m_.format_state(
-          extra ? extra->first : nodes[static_cast<std::size_t>(i)].state);
-      return t;
-    };
-
-    {
-      Node root{m_.initial(), -1, {}};
-      const std::string key = kernel::encode_key(root.state);
-      visited_.insert(byte_span(key));
-      nodes.push_back(std::move(root));
-    }
-
-    const std::uint64_t per_node_bytes = sizeof(Node) + 2 * state_bytes();
-    std::vector<Succ> succs;
-    for (std::int64_t head = 0; head < static_cast<std::int64_t>(nodes.size());
-         ++head) {
-      if (stopped()) {
-        complete_ = false;
-        break;
-      }
-      if (over_budget(nodes.size() * per_node_bytes)) break;
-      observe();
-      succs.clear();
-      if (opt_.por)
-        por_successors(m_, nodes[static_cast<std::size_t>(head)].state, succs,
-                       nullptr, opt_.engine);
-      else if (opt_.engine)
-        opt_.engine->successors(nodes[static_cast<std::size_t>(head)].state,
-                                succs);
-      else
-        m_.successors(nodes[static_cast<std::size_t>(head)].state, succs);
-      if (perm_seed_ != 0)
-        permute_succs(
-            succs, perm_seed_,
-            kernel::encode_key(nodes[static_cast<std::size_t>(head)].state));
-      transitions_ += succs.size();
-      if (auto v = check_state(nodes[static_cast<std::size_t>(head)].state,
-                               !succs.empty())) {
-        v->trace = build_trace(head, nullptr);
-        r.violation = std::move(*v);
-        return r;
-      }
-      for (Succ& succ : succs) {
-        if (succ.second.assert_failed) {
-          Violation v;
-          v.kind = ViolationKind::AssertFailed;
-          v.message = "assertion failed: " + m_.describe_step(succ.second);
-          v.trace = build_trace(head, &succ);
-          r.violation = std::move(v);
-          return r;
-        }
-        std::string key = kernel::encode_key(succ.first);
-        if (!visited_.insert(byte_span(key))) {
-          ++matched_;
-          continue;
-        }
-        if (visited_.size() >= opt_.max_states) {
-          truncate(TruncationReason::MaxStates);
-          continue;
-        }
-        nodes.push_back({std::move(succ.first), head, succ.second});
-      }
-    }
-    max_depth_seen_ = 0;  // depth tracking is a DFS notion
-    return r;
-  }
-
-  std::uint64_t state_bytes() const {
-    return static_cast<std::uint64_t>(m_.layout().size()) *
-           sizeof(kernel::Value);
-  }
-
-  bool stopped() const {
-    return stop_ != nullptr && stop_->load(std::memory_order_relaxed);
-  }
-
-  const Machine& m_;
-  const Options& opt_;
-  VisitedSet visited_;
-  std::uint64_t perm_seed_ = 0;
-  const std::atomic<bool>* stop_ = nullptr;
-  std::uint64_t matched_ = 0;
-  std::uint64_t transitions_ = 0;
-  std::uint64_t budget_tick_ = 0;
-  std::uint64_t frontier_bytes_ = 0;
-  int max_depth_seen_ = 0;
-  bool complete_ = true;
-  TruncationReason truncation_ = TruncationReason::None;
-  std::chrono::steady_clock::time_point start_{};
-
-  obs::CounterBlock* blk_ = nullptr;
-  std::uint64_t obs_tick_ = 0;
-  std::uint64_t por_ample_ = 0;
-};
-
 }  // namespace
 
 int resolve_threads(int requested) {
@@ -1338,24 +1008,22 @@ int resolve_threads(int requested) {
 namespace detail {
 
 Result run_single(const kernel::Machine& m, const Options& opt,
-                  std::uint64_t perm_seed, std::uint64_t bitstate_seed,
-                  const std::atomic<bool>* stop) {
-  if (perm_seed == 0) {
-    FlatRun run(m, opt, stop);
-    return run.go();
-  }
-  PermutedRun run(m, opt, perm_seed, bitstate_seed, stop);
+                  std::uint64_t seed, const std::atomic<bool>* stop) {
+  FlatRun run(m, opt, seed, stop);
   return run.go();
 }
 
 }  // namespace detail
 
 Result explore(const kernel::Machine& m, const Options& opt) {
-  const int threads = resolve_threads(opt.threads);
-  if (threads <= 1) {
-    FlatRun run(m, opt, nullptr);
-    return run.go();
+  if (opt.engine == nullptr) {
+    const std::unique_ptr<codegen::Engine> interp = codegen::make_engine(m, {});
+    Options o = opt;
+    o.engine = interp.get();
+    return explore(m, o);
   }
+  const int threads = resolve_threads(opt.threads);
+  if (threads <= 1) return detail::run_single(m, opt, 0, nullptr);
   return opt.bitstate ? detail::run_swarm(m, opt, threads)
                       : detail::run_parallel(m, opt, threads);
 }

@@ -67,12 +67,12 @@ struct Options {
   /// memory_budget_bytes, keeping the budget honest.
   obs::Observer* obs = nullptr;
 
-  /// Compiled successor engine (codegen::make_engine). Null runs the
-  /// interpreted Machine::visit_successors -- the historical path. Engines
-  /// are drop-in equivalent (same successors, same order, same verdicts)
-  /// and serve every search mode, including the POR ample probe and chosen
-  /// expansion; engines with encode_support() additionally serve the
-  /// COLLAPSE delta store path. Not owned; must outlive the exploration.
+  /// Successor engine (codegen::make_engine) every search mode generates
+  /// through, including the POR ample probe and chosen expansion; engines
+  /// with encode_support() additionally serve the COLLAPSE delta store path.
+  /// Engines are drop-in equivalent (same successors, same order, same
+  /// verdicts). Null means the interpreter: explore() then builds an
+  /// InterpEngine for the call. Not owned; must outlive the exploration.
   const codegen::Engine* engine = nullptr;
 
   // -- durability (see DESIGN.md section 13) -------------------------------
@@ -209,14 +209,15 @@ int resolve_threads(int requested);
 
 namespace detail {
 
-/// Single-threaded engine with swarm hooks: `perm_seed != 0` permutes every
-/// state's successor order with a deterministic per-state shuffle,
-/// `bitstate_seed` perturbs the Bloom hash functions, and a set `stop` flag
-/// aborts the search cooperatively. explore() uses (0, 0, nullptr), which is
-/// exactly the historical sequential search.
+// The run_* entry points take `opt.engine` non-null (explore() resolves it).
+
+/// The sequential search with swarm hooks: a nonzero `seed` (bitstate
+/// only) perturbs the Bloom hash functions and replays every state's
+/// successors in a deterministic per-state shuffle, and a set `stop` flag
+/// aborts the search cooperatively. explore() uses (0, nullptr), the
+/// canonical search.
 Result run_single(const kernel::Machine& m, const Options& opt,
-                  std::uint64_t perm_seed, std::uint64_t bitstate_seed,
-                  const std::atomic<bool>* stop);
+                  std::uint64_t seed, const std::atomic<bool>* stop);
 
 /// Exact parallel reachability: sharded visited set + work-stealing frontier.
 Result run_parallel(const kernel::Machine& m, const Options& opt, int threads);
@@ -225,6 +226,17 @@ Result run_parallel(const kernel::Machine& m, const Options& opt, int threads);
 /// a violation found by any worker stops the swarm, otherwise every filter
 /// runs to completion and coverage is the union.
 Result run_swarm(const kernel::Machine& m, const Options& opt, int threads);
+
+/// The global invariant's violation in `s`, if any.
+std::optional<Violation> invariant_violation(const kernel::Machine& m,
+                                             const Options& opt,
+                                             const kernel::State& s);
+
+/// Checks that apply only to states with no successors (deadlock, then the
+/// end-state invariant).
+std::optional<Violation> terminal_violation(const kernel::Machine& m,
+                                            const Options& opt,
+                                            const kernel::State& s);
 
 }  // namespace detail
 

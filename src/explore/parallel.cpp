@@ -13,7 +13,7 @@
 // shape may differ run to run; the verdict may not).
 //
 // Atomic regions and rendezvous handshakes never interleave across workers
-// by construction: Machine::visit_successors() expands a whole state at a
+// by construction: Engine::visit_successors() expands a whole state at a
 // time -- an atomic region is carried IN the state (atomic_pid) and a
 // handshake is a single composite step -- so one worker always computes the
 // complete successor bundle of the state it popped.
@@ -463,41 +463,6 @@ class ParallelRun {
     park_cv_.notify_all();
   }
 
-  std::optional<Violation> invariant_violation(const State& s) const {
-    if (opt_.invariant != expr::kNoExpr &&
-        m_.eval_global(opt_.invariant, s) == 0) {
-      Violation v;
-      v.kind = ViolationKind::InvariantViolated;
-      v.message = "invariant violated" +
-                  (opt_.invariant_name.empty() ? std::string()
-                                               : ": " + opt_.invariant_name);
-      return v;
-    }
-    return std::nullopt;
-  }
-
-  std::optional<Violation> terminal_violation(const State& s) const {
-    if (opt_.check_deadlock && !m_.is_valid_end(s)) {
-      Violation v;
-      v.kind = ViolationKind::Deadlock;
-      v.message = "no executable transition and not all processes at a "
-                  "valid end state";
-      return v;
-    }
-    if (opt_.end_invariant != expr::kNoExpr &&
-        m_.eval_global(opt_.end_invariant, s) == 0) {
-      Violation v;
-      v.kind = ViolationKind::EndInvariantViolated;
-      v.message =
-          "terminal state violates end invariant" +
-          (opt_.end_invariant_name.empty()
-               ? std::string()
-               : ": " + opt_.end_invariant_name);
-      return v;
-    }
-    return std::nullopt;
-  }
-
   void record_violation(Violation v, std::uint64_t gid,
                         const Step* extra_step, const State& final_state) {
     {
@@ -592,28 +557,24 @@ class ParallelRun {
         std::max(me.stats.max_depth_reached, static_cast<int>(item.depth));
     // Invariant first: generation has no side effects and the check reads
     // only the state, so the verdict matches the materializing engine's.
-    if (auto v = invariant_violation(item.state)) {
+    if (auto v = invariant_violation(m_, opt_, item.state)) {
       record_violation(std::move(*v), item.gid, nullptr, item.state);
       return;
     }
     ParSink sink(*this, w, me, item);
+    int choice = -1;
     if (opt_.por) {
       // BFS-style ample choice (no cycle proviso): a pure function of the
       // state, so the reduced graph -- and the reached-state count -- does
       // not depend on thread count or interleaving.
-      const int choice =
-          por_choose(m_, item.state, nullptr, me.scratch, opt_.engine);
+      choice = por_choose(*opt_.engine, item.state, nullptr, me.scratch);
       if (choice >= 0) ++me.por_ample;
-      por_visit(m_, item.state, choice, me.scratch, sink, opt_.engine);
-    } else if (opt_.engine) {
-      opt_.engine->visit_successors(item.state, me.scratch, sink);
-    } else {
-      m_.visit_successors(item.state, me.scratch, sink);
     }
+    por_visit(*opt_.engine, item.state, choice, me.scratch, sink);
     // Zero successors means a terminal state -- unless the pass was cut
     // short by a stop flag, in which case the count is not trustworthy.
     if (sink.produced == 0 && !sink.aborted) {
-      if (auto v = terminal_violation(item.state))
+      if (auto v = terminal_violation(m_, opt_, item.state))
         record_violation(std::move(*v), item.gid, nullptr, item.state);
     }
     // An aborted pass left successors ungenerated: requeue the item so the
@@ -765,7 +726,7 @@ Result run_swarm(const kernel::Machine& m, const Options& opt, int threads) {
         // sequential bitstate verdict is always among the merged ones.
         const std::uint64_t seed =
             w == 0 ? 0 : avalanche64(0x5eed5eed5eedull + static_cast<std::uint64_t>(w));
-        Result r = run_single(m, o, seed, seed, &stop);
+        Result r = run_single(m, o, seed, &stop);
         if (r.violation) stop.store(true, std::memory_order_release);
         results[static_cast<std::size_t>(w)] = std::move(r);
       });

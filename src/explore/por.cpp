@@ -40,86 +40,29 @@ class AmpleProbe final : public kernel::SuccSink {
   bool ok_ = true;
 };
 
-/// Adapter implementing the vector-building API on the streaming one.
-class CollectSink final : public kernel::SuccSink {
- public:
-  explicit CollectSink(std::vector<kernel::Succ>& out) : out_(out) {}
-  bool on_successor(const kernel::State& ns,
-                    const kernel::Step& step) override {
-    out_.emplace_back(ns, step);
-    return true;
-  }
-
- private:
-  std::vector<kernel::Succ>& out_;
-};
-
 }  // namespace
 
-int por_choose(const kernel::Machine& m, const kernel::State& s,
-               const OnStackFn* on_stack, kernel::SuccScratch& scratch,
-               const codegen::Engine* engine) {
+int por_choose(const codegen::Engine& engine, const kernel::State& s,
+               const OnStackFn* on_stack, kernel::SuccScratch& scratch) {
   // Atomic regions already restrict interleaving; let the machine handle them.
   if (s.atomic_pid >= 0) return -1;
+  const kernel::Machine& m = engine.machine();
   for (int pid = 0; pid < m.n_processes(); ++pid) {
     AmpleProbe probe(m, pid, on_stack);
-    if (engine)
-      engine->visit_successors_of(s, pid, scratch, probe);
-    else
-      m.visit_successors_of(s, pid, scratch, probe);
+    engine.visit_successors_of(s, pid, scratch, probe);
     if (probe.candidate()) return pid;
   }
   return -1;
 }
 
-int por_choose(const kernel::Machine& m, const kernel::State& s,
-               const OnStackFn* on_stack, const codegen::Engine* engine) {
-  kernel::SuccScratch scratch;
-  return por_choose(m, s, on_stack, scratch, engine);
-}
-
-void por_expand(const kernel::Machine& m, const kernel::State& s, int choice,
-                std::vector<kernel::Succ>& out,
-                const codegen::Engine* engine) {
-  if (engine) {
-    if (choice < 0) {
-      engine->successors(s, out);
-    } else {
-      kernel::SuccScratch scratch;
-      CollectSink collect(out);
-      engine->visit_successors_of(s, choice, scratch, collect);
-    }
-    return;
-  }
-  if (choice < 0) {
-    m.successors(s, out);
-    return;
-  }
-  m.successors_of(s, choice, out);
-}
-
-void por_visit(const kernel::Machine& m, const kernel::State& s, int choice,
-               kernel::SuccScratch& scratch, kernel::SuccSink& sink,
-               const codegen::Engine* engine, std::uint32_t skip,
+void por_visit(const codegen::Engine& engine, const kernel::State& s,
+               int choice, kernel::SuccScratch& scratch,
+               kernel::SuccSink& sink, std::uint32_t skip,
                std::uint64_t* resume) {
-  if (engine) {
-    if (choice < 0)
-      engine->visit_successors(s, scratch, sink, skip, resume);
-    else
-      engine->visit_successors_of(s, choice, scratch, sink, skip);
-    return;
-  }
-  if (choice < 0) {
-    m.visit_successors(s, scratch, sink);
-    return;
-  }
-  m.visit_successors_of(s, choice, scratch, sink);
-}
-
-void por_successors(const kernel::Machine& m, const kernel::State& s,
-                    std::vector<kernel::Succ>& out, const OnStackFn* on_stack,
-                    const codegen::Engine* engine) {
-  por_expand(m, s, por_choose(m, s, on_stack, engine), out, engine);
+  if (choice < 0)
+    engine.visit_successors(s, scratch, sink, skip, resume);
+  else
+    engine.visit_successors_of(s, choice, scratch, sink, skip);
 }
 
 }  // namespace pnp::explore

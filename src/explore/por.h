@@ -6,17 +6,15 @@
 // transitions). The cycle proviso (C3) is enforced by rejecting candidates
 // with a successor already on the DFS stack.
 //
-// Every entry point optionally takes a codegen::Engine: when non-null, both
-// the per-pid ample probe and the chosen expansion run the compiled backend
-// instead of the interpreter. The engine equivalence contract (byte-identical
-// successor streams and Step fields, engine.h) makes the ample decision a
-// pure function of the state either way -- the probe is a conjunction over
-// the streamed successors, so identical streams give identical ample sets.
+// Both entry points generate through a codegen::Engine. The engine
+// equivalence contract (byte-identical successor streams and Step fields,
+// engine.h) makes the ample decision a pure function of the state under
+// every engine -- the probe is a conjunction over the streamed successors,
+// so identical streams give identical ample sets.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "kernel/machine.h"
 
@@ -33,36 +31,18 @@ using OnStackFn = std::function<bool(const kernel::State&)>;
 /// nullptr to skip it (BFS, where C3 is not needed for safety-only checking
 /// of our invisible-transition ample sets). The decision is a function of
 /// (state, stack) and must be recorded by the caller so that regenerating a
-/// frame's successors reproduces the exact same list. The overload taking a
-/// SuccScratch probes candidates by mutate-and-revert (no state copies);
-/// the two-argument form allocates its own scratch.
-int por_choose(const kernel::Machine& m, const kernel::State& s,
-               const OnStackFn* on_stack, kernel::SuccScratch& scratch,
-               const codegen::Engine* engine = nullptr);
-int por_choose(const kernel::Machine& m, const kernel::State& s,
-               const OnStackFn* on_stack,
-               const codegen::Engine* engine = nullptr);
+/// frame's successors reproduces the exact same list. Candidates are probed
+/// by mutate-and-revert in `scratch` (no state copies).
+int por_choose(const codegen::Engine& engine, const kernel::State& s,
+               const OnStackFn* on_stack, kernel::SuccScratch& scratch);
 
-/// Appends the successors of `s` per a recorded choice (-1 = all processes,
-/// otherwise only that pid's).
-void por_expand(const kernel::Machine& m, const kernel::State& s, int choice,
-                std::vector<kernel::Succ>& out,
-                const codegen::Engine* engine = nullptr);
-
-/// Streaming por_expand: successors per the recorded choice are handed to
-/// `sink` one at a time (see Machine::visit_successors). With an engine,
-/// `skip` and `resume` carry the pass-based DFS's native candidate
-/// suppression and fast-forward token through to the backend (engine.h);
-/// the interpreter path ignores both and keeps the historical sink-side
-/// skip, so interpreter callers must pass 0 / nullptr.
-void por_visit(const kernel::Machine& m, const kernel::State& s, int choice,
-               kernel::SuccScratch& scratch, kernel::SuccSink& sink,
-               const codegen::Engine* engine = nullptr, std::uint32_t skip = 0,
+/// Streams the successors of `s` per a recorded choice (-1 = all processes,
+/// otherwise only that pid's) into `sink`, passing the pass-based DFS's
+/// `skip` and `resume` token through to the engine (engine.h); a chosen
+/// pid's sweep takes no token.
+void por_visit(const codegen::Engine& engine, const kernel::State& s,
+               int choice, kernel::SuccScratch& scratch,
+               kernel::SuccSink& sink, std::uint32_t skip = 0,
                std::uint64_t* resume = nullptr);
-
-/// choose + expand in one call (used by BFS, which never revisits a frame).
-void por_successors(const kernel::Machine& m, const kernel::State& s,
-                    std::vector<kernel::Succ>& out, const OnStackFn* on_stack,
-                    const codegen::Engine* engine = nullptr);
 
 }  // namespace pnp::explore

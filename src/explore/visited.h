@@ -34,30 +34,25 @@ namespace pnp::explore {
 /// The exact set starts at its minimum and grows with the keys it holds.
 class VisitedSet {
  public:
-  VisitedSet(bool bitstate, std::uint64_t bytes, std::uint64_t seed = 0)
+  VisitedSet(bool bitstate, std::uint64_t bytes, std::uint64_t seed)
       : bitstate_(bitstate), seed_(seed) {
     if (bitstate_) bits_.assign(bytes, 0);
   }
 
-  /// Two-phase insert for callers that can overlap the probe's cache misses
+  /// Pipelined insert for callers that can overlap the probe's cache misses
   /// with other work (exact mode only): stage() hashes the key and prefetches
-  /// its first probe slot; insert_staged() completes the probe, usually with
-  /// the slot line already in cache. Any number of stage() calls may be in
-  /// flight; each insert_staged() must pass the hash its stage() returned.
+  /// its first probe slot; probe_staged() later walks the (prefetched)
+  /// cluster, inserting definitely-fresh keys and prefetching the arena
+  /// record of a fingerprint match; confirm_staged() settles that match
+  /// later still. Any number of stage() calls may be in flight; the later
+  /// calls must pass the hash stage() returned. See
+  /// FlatKeySet::probe_or_insert.
   std::uint64_t stage(std::span<const std::uint8_t> key) const {
     const std::uint64_t h = fast_hash64(key);
     set_.prefetch(h);
     return h;
   }
 
-  bool insert_staged(std::span<const std::uint8_t> key, std::uint64_t h) {
-    return set_.insert(key, h);
-  }
-
-  /// Deeper pipelining over the same staged hash: probe_staged() walks the
-  /// (prefetched) cluster, inserting definitely-fresh keys and prefetching
-  /// the arena record of a fingerprint match; confirm_staged() settles that
-  /// match later. See FlatKeySet::probe_or_insert.
   FlatKeySet::Staged probe_staged(std::span<const std::uint8_t> key,
                                   std::uint64_t h) {
     return set_.probe_or_insert(key, h);

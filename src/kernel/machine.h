@@ -45,6 +45,20 @@ class SuccSink {
   ~SuccSink() = default;
 };
 
+/// Copies every successor it is handed into `out` (the vector-building
+/// API on top of the streaming one).
+class CollectSink final : public SuccSink {
+ public:
+  explicit CollectSink(std::vector<Succ>& out) : out_(out) {}
+  bool on_successor(const State& ns, const Step& step) override {
+    out_.emplace_back(ns, step);
+    return true;
+  }
+
+ private:
+  std::vector<Succ>& out_;
+};
+
 /// Per-caller scratch for mutate-and-revert successor generation: one State
 /// buffer plus an undo log, so producing a successor costs only the slots
 /// the step touches instead of a full state-vector copy. Reuse one instance
@@ -90,19 +104,18 @@ class Machine {
   /// executing that step.
   void successors(const State& s, std::vector<Succ>& out) const;
 
-  /// Successors produced by process `pid` only (used by POR and the atomic
-  /// rule). Returns true if at least one was produced.
-  bool successors_of(const State& s, int pid, std::vector<Succ>& out) const;
-
-  /// Streaming variants: each successor is materialized in `scratch` by
-  /// mutate-and-revert and handed to `sink` in exactly the order the
-  /// vector-building overloads would append it. The sink may abort early by
-  /// returning false. `s` must not alias `scratch.state`.
+  /// Streaming variant: each successor is materialized in `scratch` by
+  /// mutate-and-revert and handed to `sink` in exactly the order
+  /// successors() would append it. The sink may abort early by returning
+  /// false. `s` must not alias `scratch.state`. Searches reach this through
+  /// codegen::Engine; it stays the reference the engines are tested
+  /// against.
   void visit_successors(const State& s, SuccScratch& scratch,
                         SuccSink& sink) const;
 
-  /// Streaming successors_of(); returns true if at least one successor was
-  /// produced (even if the sink then aborted).
+  /// Streams the successors produced by process `pid` only (used by POR and
+  /// the atomic rule); returns true if at least one successor was produced
+  /// (even if the sink then aborted).
   bool visit_successors_of(const State& s, int pid, SuccScratch& scratch,
                            SuccSink& sink) const;
 

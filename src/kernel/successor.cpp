@@ -477,19 +477,6 @@ class SuccGen {
   bool stopped_ = false;
 };
 
-/// Adapter implementing the vector-building API on the streaming one.
-class CollectSink final : public SuccSink {
- public:
-  explicit CollectSink(std::vector<Succ>& out) : out_(out) {}
-  bool on_successor(const State& ns, const Step& step) override {
-    out_.emplace_back(ns, step);
-    return true;
-  }
-
- private:
-  std::vector<Succ>& out_;
-};
-
 }  // namespace
 
 bool Machine::visit_successors_of(const State& s, int pid,
@@ -511,13 +498,6 @@ void Machine::visit_successors(const State& s, SuccScratch& scratch,
     gen.expand(pid);
     if (gen.stopped()) return;
   }
-}
-
-bool Machine::successors_of(const State& s, int pid,
-                            std::vector<Succ>& out) const {
-  CollectSink sink(out);
-  SuccScratch scratch;
-  return visit_successors_of(s, pid, scratch, sink);
 }
 
 void Machine::successors(const State& s, std::vector<Succ>& out) const {

@@ -42,41 +42,21 @@ constexpr std::uint8_t kOnStack = 4;
 
 const Step kNoStep{};
 
-/// Deterministic Fisher-Yates driven by xorshift64*: racing workers diversify
-/// their DFS order without giving up reproducibility (the same (product key,
-/// seed) always yields the same order, so every pass over a frame sees
-/// identical positions).
-void shuffle(std::vector<std::uint32_t>& v, std::uint64_t seed) {
-  std::uint64_t x = seed ? seed : 0x9e3779b97f4a7c15ull;
-  auto next = [&x]() {
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    return x * 0x2545F4914F6CDD1Dull;
-  };
-  for (std::size_t i = v.size(); i > 1; --i)
-    std::swap(v[i - 1], v[next() % i]);
-}
-
 /// Adapts `f(index, successor, step) -> keep going` to the streaming
-/// generator. Candidates are numbered from `first` (where an engine's native
-/// skip resumes) and those below `skip` are dropped (the interpreter has no
-/// native skip).
+/// generator. Candidates are numbered from `first`, where the engine's
+/// native skip resumes.
 template <class F>
 class StreamSink final : public kernel::SuccSink {
  public:
-  StreamSink(std::uint32_t first, std::uint32_t skip, F& f)
-      : idx(first), skip_(skip), f_(f) {}
+  StreamSink(std::uint32_t first, F& f) : idx(first), f_(f) {}
 
   bool on_successor(const State& ns, const Step& step) override {
-    const std::uint32_t i = idx++;
-    return i < skip_ || f_(i, ns, step);
+    return f_(idx++, ns, step);
   }
 
   std::uint32_t idx;  // candidates enumerated so far
 
  private:
-  std::uint32_t skip_;
   F& f_;
 };
 
@@ -100,8 +80,7 @@ class ProductSearch {
  public:
   ProductSearch(const Machine& m, const PropertyContext& ctx,
                 const BuchiAutomaton& ba, const CheckOptions& opt,
-                const codegen::Engine* engine = nullptr,
-                std::uint64_t perm_seed = 0,
+                const codegen::Engine& engine, std::uint64_t perm_seed = 0,
                 const std::atomic<bool>* stop = nullptr)
       : m_(m), ctx_(ctx), ba_(ba), opt_(opt), engine_(engine),
         perm_seed_(perm_seed), stop_(stop), keys_(m.layout(), engine),
@@ -359,7 +338,8 @@ class ProductSearch {
     }
     order_.resize(cands_.size());
     std::iota(order_.begin(), order_.end(), 0u);
-    shuffle(order_, avalanche64(perm_seed_ ^ f.key_hash));
+    seeded_shuffle(std::span<std::uint32_t>(order_),
+                   avalanche64(perm_seed_ ^ f.key_hash));
     while (f.next < order_.size()) {
       const Cand c = cands_[order_[f.next++]];
       const Visit v = visit(f.inner, std::span<const std::uint8_t>(
@@ -420,12 +400,8 @@ class ProductSearch {
   template <class F>
   std::uint32_t stream(const State& s, std::uint32_t skip,
                        std::uint64_t* resume, F&& f) {
-    StreamSink<std::remove_reference_t<F>> sink(
-        engine_ != nullptr ? skip : 0, skip, f);
-    if (engine_ != nullptr)
-      engine_->visit_successors(s, scratch_, sink, skip, resume);
-    else
-      m_.visit_successors(s, scratch_, sink);
+    StreamSink<std::remove_reference_t<F>> sink(skip, f);
+    engine_.visit_successors(s, scratch_, sink, skip, resume);
     return sink.idx;
   }
 
@@ -678,7 +654,7 @@ class ProductSearch {
   const PropertyContext& ctx_;
   const BuchiAutomaton& ba_;
   const CheckOptions& opt_;
-  const codegen::Engine* engine_{nullptr};
+  const codegen::Engine& engine_;
   std::uint64_t perm_seed_{0};
   const std::atomic<bool>* stop_{nullptr};
   int n_copies_{1};
@@ -728,16 +704,13 @@ LtlResult check_ltl(const kernel::Machine& m, FormulaPool& pool,
   // and all mutable search state (scratch, visited sets) is per-worker.
   // Non-strict: an unavailable AOT toolchain degrades to bytecode with the
   // reason captured in `engine_note` rather than failing the check.
-  std::unique_ptr<codegen::Engine> engine;
+  codegen::EngineOptions ecfg;
+  ecfg.kind = opt.engine;
+  ecfg.cache_dir = opt.engine_cache_dir;
+  ecfg.obs = opt.obs;
   std::string engine_note;
-  if (opt.engine != codegen::EngineKind::Interp) {
-    codegen::EngineOptions ecfg;
-    ecfg.kind = opt.engine;
-    ecfg.cache_dir = opt.engine_cache_dir;
-    ecfg.strict = false;
-    ecfg.obs = opt.obs;
-    engine = codegen::make_engine(m, ecfg, &engine_note);
-  }
+  const std::unique_ptr<codegen::Engine> engine =
+      codegen::make_engine(m, ecfg, &engine_note);
 
   std::size_t phase = 0;
   if (opt.obs != nullptr)
@@ -745,7 +718,7 @@ LtlResult check_ltl(const kernel::Machine& m, FormulaPool& pool,
         threads <= 1 ? "ltl-product" : "ltl-product-racing", opt.max_states);
   LtlResult r;
   if (threads <= 1) {
-    ProductSearch search(m, ctx, ba, opt, engine.get());
+    ProductSearch search(m, ctx, ba, opt, *engine);
     r = search.run();
     search.publish_counters();
   } else {
@@ -772,7 +745,7 @@ LtlResult check_ltl(const kernel::Machine& m, FormulaPool& pool,
             w == 0 ? 0
                    : avalanche64(0x17e1'0ba5'e11eull +
                                  static_cast<std::uint64_t>(w));
-        ProductSearch search(m, ctx, ba, wopt, engine.get(), seed, &stop);
+        ProductSearch search(m, ctx, ba, wopt, *engine, seed, &stop);
         LtlResult wr = search.run();
         if (search.aborted()) return;
         int expected = -1;
@@ -791,7 +764,7 @@ LtlResult check_ltl(const kernel::Machine& m, FormulaPool& pool,
   }
   r.formula_text = pool.to_string(phi, &ctx);
   r.engine_requested = opt.engine;
-  r.engine_actual = engine ? engine->kind() : codegen::EngineKind::Interp;
+  r.engine_actual = engine->kind();
   r.engine_note = std::move(engine_note);
   if (opt.obs != nullptr) {
     opt.obs->end_phase(phase, r.stats.states_stored, r.stats.seconds,

@@ -118,19 +118,16 @@ void run_ladder(const kernel::Machine& m, explore::Options eopt,
   // (strict): silently continuing a resumed search under a different
   // engine than requested is exactly the configuration drift that resume
   // exists to reject loudly.
-  std::unique_ptr<codegen::Engine> engine;
+  codegen::EngineOptions ecfg;
+  ecfg.kind = opt.engine;
+  ecfg.cache_dir = opt.engine_cache_dir;
+  ecfg.strict = opt.resume && opt.engine == codegen::EngineKind::Aot;
+  ecfg.obs = ob;
+  const std::unique_ptr<codegen::Engine> engine =
+      codegen::make_engine(*target, ecfg, &out.engine_note);
+  eopt.engine = engine.get();
   out.engine_requested = opt.engine;
-  if (opt.engine != codegen::EngineKind::Interp) {
-    codegen::EngineOptions ecfg;
-    ecfg.kind = opt.engine;
-    ecfg.cache_dir = opt.engine_cache_dir;
-    ecfg.strict = opt.resume && opt.engine == codegen::EngineKind::Aot;
-    ecfg.obs = ob;
-    engine = codegen::make_engine(*target, ecfg, &out.engine_note);
-    eopt.engine = engine.get();
-  }
-  out.engine_actual =
-      engine != nullptr ? engine->kind() : codegen::EngineKind::Interp;
+  out.engine_actual = engine->kind();
   // Durable-run identity: one checkpoint file per property, addressed by
   // the property name; the configuration digest travels INSIDE the file
   // (pnp.ckpt.v1 header), so resuming under an edited configuration finds

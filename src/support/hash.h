@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
+#include <utility>
 
 namespace pnp {
 
@@ -74,6 +75,22 @@ inline std::uint64_t fast_hash64(std::span<const std::uint8_t> bytes) {
     h ^= h >> 29;
   }
   return avalanche64(h);
+}
+
+/// Deterministic Fisher-Yates shuffle driven by xorshift64* from `seed`:
+/// the same (items, seed) always gives the same order, so a search that
+/// re-streams a state sees one order on every pass. Swarm workers and
+/// racing LTL workers seed it per state. Seed 0, xorshift's fixed point, is
+/// replaced by a constant.
+template <class T>
+void seeded_shuffle(std::span<T> v, std::uint64_t seed) {
+  std::uint64_t x = seed ? seed : 0x9e3779b97f4a7c15ull;
+  for (std::size_t i = v.size(); i > 1; --i) {
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    std::swap(v[i - 1], v[(x * 0x2545f4914f6cdd1dull) % i]);
+  }
 }
 
 /// Platform- and endian-stable 64-bit digest of a text. This is the ONLY

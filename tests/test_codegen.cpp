@@ -167,6 +167,10 @@ std::vector<std::unique_ptr<TestModel>> model_zoo() {
 
 // -- engine construction -----------------------------------------------------
 
+std::unique_ptr<codegen::Engine> make_interp(const Machine& m) {
+  return codegen::make_engine(m, {});
+}
+
 std::unique_ptr<codegen::Engine> make_bytecode(const Machine& m) {
   codegen::EngineOptions o;
   o.kind = codegen::EngineKind::Bytecode;
@@ -324,12 +328,14 @@ TEST(EngineDiff, SuccessorStreamsMatchInterpEverywhere) {
   TempDir cache;
   for (const auto& tp : model_zoo()) {
     const TestModel& t = *tp;
+    const auto interp = make_interp(*t.m);
     const auto bc = make_bytecode(*t.m);
     const auto aot = try_aot(*t.m, cache.str());
     const std::vector<State> states = reachable_states(*t.m, 400);
     ASSERT_GT(states.size(), 10u) << t.name;
     for (const State& s : states) {
       const std::vector<Emission> ref = interp_emissions(*t.m, s);
+      expect_same_stream(ref, engine_emissions(*interp, s), t.name + "/interp");
       expect_same_stream(ref, engine_emissions(*bc, s), t.name + "/bytecode");
       if (aot)
         expect_same_stream(ref, engine_emissions(*aot, s), t.name + "/aot");
@@ -367,6 +373,7 @@ TEST(EngineDiff, VisitSuccessorsOfMatchesPerProcess) {
   TempDir cache;
   const auto tp = make_fig13();
   const TestModel& t = *tp;
+  const auto interp = make_interp(*t.m);
   const auto bc = make_bytecode(*t.m);
   const auto aot = try_aot(*t.m, cache.str());
   for (const State& s : reachable_states(*t.m, 200)) {
@@ -374,6 +381,10 @@ TEST(EngineDiff, VisitSuccessorsOfMatchesPerProcess) {
       kernel::SuccScratch scr;
       Recorder ref_rec(scr);
       const bool ref_any = t.m->visit_successors_of(s, pid, scr, ref_rec);
+      kernel::SuccScratch scr1;
+      Recorder interp_rec(scr1);
+      ASSERT_EQ(ref_any, interp->visit_successors_of(s, pid, scr1, interp_rec));
+      expect_same_stream(ref_rec.out, interp_rec.out, "interp visit_of");
       kernel::SuccScratch scr2;
       Recorder bc_rec(scr2);
       ASSERT_EQ(ref_any, bc->visit_successors_of(s, pid, scr2, bc_rec));
@@ -394,6 +405,7 @@ TEST(EngineDiff, NativeSkipEqualsSinkSideFiltering) {
   TempDir cache;
   for (const auto& tp : model_zoo()) {
     const TestModel& t = *tp;
+    const auto interp = make_interp(*t.m);
     const auto bc = make_bytecode(*t.m);
     const auto aot = try_aot(*t.m, cache.str());
     for (const State& s : reachable_states(*t.m, 60)) {
@@ -401,6 +413,8 @@ TEST(EngineDiff, NativeSkipEqualsSinkSideFiltering) {
       for (std::uint32_t k = 0; k <= ref.size() + 1; ++k) {
         const std::vector<Emission> want(
             ref.begin() + std::min<std::size_t>(k, ref.size()), ref.end());
+        expect_same_stream(want, engine_emissions(*interp, s, k),
+                           t.name + "/interp skip=" + std::to_string(k));
         expect_same_stream(want, engine_emissions(*bc, s, k),
                            t.name + "/bytecode skip=" + std::to_string(k));
         if (aot)
@@ -435,11 +449,23 @@ TEST(EngineDiff, ResumeTokenPassLoopReproducesStream) {
   TempDir cache;
   for (const auto& tp : model_zoo()) {
     const TestModel& t = *tp;
+    const auto interp = make_interp(*t.m);
     const auto bc = make_bytecode(*t.m);
     const auto aot = try_aot(*t.m, cache.str());
     for (const State& s : reachable_states(*t.m, 80)) {
+      check_pass_loop(*interp, *t.m, s, t.name + "/interp pass loop");
       check_pass_loop(*bc, *t.m, s, t.name + "/bytecode pass loop");
       if (aot) check_pass_loop(*aot, *t.m, s, t.name + "/aot pass loop");
+      // The interpreter has no resume token: it clears the one a stopped
+      // bytecode pass left for this state.
+      std::uint64_t tok = 0;
+      {
+        kernel::SuccScratch scr;
+        Recorder first(scr, /*stop_after=*/1);
+        bc->visit_successors(s, scr, first, 0, &tok);
+      }
+      engine_emissions(*interp, s, 1, &tok);
+      EXPECT_EQ(tok, 0u) << t.name << "/interp resume token";
     }
   }
 }
@@ -770,6 +796,26 @@ TEST(EngineCache, MachineDigestIsStableAcrossRegeneration) {
 
 // -- (5) engine-backed POR ---------------------------------------------------
 
+/// The ample rule evaluated directly on the kernel's per-process streams:
+/// the first process whose successors exist and are all purely-local steps,
+/// or -1 (always -1 inside an atomic region).
+int reference_ample(const Machine& m, const State& s) {
+  if (s.atomic_pid >= 0) return -1;
+  for (int pid = 0; pid < m.n_processes(); ++pid) {
+    kernel::SuccScratch scr;
+    Recorder rec(scr);
+    m.visit_successors_of(s, pid, scr, rec);
+    const auto& trans = m.proc_of(pid).trans;
+    if (!rec.out.empty() &&
+        std::all_of(rec.out.begin(), rec.out.end(), [&](const Emission& e) {
+          return e.partner_pid < 0 &&
+                 trans[static_cast<std::size_t>(e.trans)].local_only;
+        }))
+      return pid;
+  }
+  return -1;
+}
+
 TEST(EnginePor, AmpleChoicesMatchInterpOnReachableSample) {
   // The ample decision is a conjunction over the streamed successors of each
   // candidate process, so byte-identical streams must give the identical
@@ -780,22 +826,21 @@ TEST(EnginePor, AmpleChoicesMatchInterpOnReachableSample) {
   models.push_back(make_fault_counter("duplicating_fifo(2)"));
   for (const auto& tp : models) {
     const TestModel& t = *tp;
+    const auto interp = make_interp(*t.m);
     const auto bc = make_bytecode(*t.m);
     const auto aot = try_aot(*t.m, cache.str());
     const std::vector<State> sample = reachable_states(*t.m, 1500);
     for (const codegen::Engine* eng :
-         {static_cast<const codegen::Engine*>(bc.get()),
+         {static_cast<const codegen::Engine*>(interp.get()),
+          static_cast<const codegen::Engine*>(bc.get()),
           static_cast<const codegen::Engine*>(aot.get())}) {
       if (eng == nullptr) continue;
       const std::string what =
           t.name + "/" + codegen::engine_kind_name(eng->kind());
-      kernel::SuccScratch scr_i;
       kernel::SuccScratch scr_e;
       for (std::size_t i = 0; i < sample.size(); ++i) {
-        const int want =
-            explore::por_choose(*t.m, sample[i], nullptr, scr_i);
-        const int got =
-            explore::por_choose(*t.m, sample[i], nullptr, scr_e, eng);
+        const int want = reference_ample(*t.m, sample[i]);
+        const int got = explore::por_choose(*eng, sample[i], nullptr, scr_e);
         ASSERT_EQ(want, got) << what << " state " << i;
       }
     }
@@ -842,7 +887,7 @@ TEST(EnginePor, ReducedSearchTotalsMatchAtAllThreadCounts) {
 }
 
 TEST(EnginePor, BfsReducedSearchMatches) {
-  // BFS takes the por_successors (choose + expand in one call) path.
+  // BFS chooses and expands each state once (no cycle proviso).
   TempDir cache;
   const auto tp = make_fig13();
   const TestModel& t = *tp;

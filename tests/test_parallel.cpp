@@ -311,6 +311,78 @@ TEST(Swarm, WorkersExploreIndependentlySeededSearches) {
   EXPECT_EQ(swarm.stats.states_stored, sum);
 }
 
+TEST(Swarm, InterruptStopsEveryWorker) {
+  // An interrupt (SIGINT, a pnpd drain) must stop every worker, not only
+  // worker 0: with the flag already set, each stops at its root.
+  const Flow f = make_flow(2, 2, 0);
+  const kernel::Machine m = f.machine();
+  const std::atomic<bool> interrupt{true};
+  Options opt;
+  opt.invariant = f.invariant;
+  opt.bitstate = true;
+  opt.bitstate_bytes = 1u << 16;
+  opt.interrupt = &interrupt;
+  const Result r = explore_at(m, opt, 3);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.stats.truncation, TruncationReason::Interrupted);
+  ASSERT_EQ(r.stats.workers.size(), 3u);
+  for (const WorkerStats& w : r.stats.workers) EXPECT_LE(w.states_stored, 1u);
+}
+
+TEST(Swarm, SeededWorkersArePinned) {
+  // A 4,096-bit filter for 23,364 states, so Bloom collisions make what
+  // each worker stores depend on its search order. Pinning every worker's
+  // counts pins the seeded orders and hash functions: a change to the
+  // shuffle, its per-state seeding, or the replay of the shuffled stream
+  // shows up here.
+  const Flow f = make_flow(3, 2, 0);
+  const kernel::Machine m = f.machine();
+  struct Want {
+    std::uint64_t stored, matched, transitions;
+  };
+  struct Case {
+    bool bfs, por;
+    Want workers[3];
+  };
+  const Case cases[] = {
+      {false, false,
+       {{2368, 4793, 7160}, {2460, 5716, 8175}, {2376, 5174, 7549}}},
+      {false, true, {{762, 144, 905}, {783, 151, 933}, {773, 153, 925}}},
+      {true, false,
+       {{2742, 7675, 10416}, {2679, 7481, 10159}, {2720, 7605, 10324}}},
+      {true, true, {{749, 143, 891}, {769, 152, 920}, {779, 154, 932}}},
+  };
+  for (const Case& c : cases) {
+    Options opt;
+    opt.invariant = f.invariant;
+    opt.bitstate = true;
+    opt.bitstate_bytes = 512;
+    opt.bfs = c.bfs;
+    opt.por = c.por;
+    const Result r = explore_at(m, opt, 3);
+    const std::string what = std::string(c.bfs ? "bfs" : "dfs") +
+                             (c.por ? "+por" : "");
+    ASSERT_TRUE(r.ok()) << what;
+    ASSERT_EQ(r.stats.workers.size(), 3u) << what;
+    for (std::size_t w = 0; w < 3; ++w) {
+      const WorkerStats& got = r.stats.workers[w];
+      const Want& want = c.workers[w];
+      EXPECT_EQ(got.states_stored, want.stored) << what << " worker " << w;
+      EXPECT_EQ(got.states_matched, want.matched) << what << " worker " << w;
+      EXPECT_EQ(got.transitions, want.transitions) << what << " worker " << w;
+    }
+    const auto same = [&](std::size_t a, std::size_t b) {
+      const WorkerStats& x = r.stats.workers[a];
+      const WorkerStats& y = r.stats.workers[b];
+      return x.states_stored == y.states_stored &&
+             x.states_matched == y.states_matched &&
+             x.transitions == y.transitions;
+    };
+    EXPECT_FALSE(same(0, 1) && same(1, 2))
+        << what << ": every worker searched in the same order";
+  }
+}
+
 // -- LTL suite ----------------------------------------------------------------
 
 TEST(ParallelLtl, VerdictMatchesAcrossThreadCounts) {
