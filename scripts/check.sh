@@ -12,12 +12,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cmake -B build -S .
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 if [[ "${1:-}" == "--sanitize" ]]; then
   cmake -B build-asan -S . -DPNP_SANITIZE=ON
-  cmake --build build-asan -j
+  cmake --build build-asan -j "$(nproc)"
   UBSAN_OPTIONS=print_stacktrace=1 ASAN_OPTIONS=detect_leaks=1 \
     ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
 fi
@@ -34,11 +34,13 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # machine, each spawning its compilers from its own thread; Cache, which
   # also selects EngineCache, the verdict cache pnpd workers share, whose
   # records, lookups and flushes race on its entries and on the dirty
-  # state that gates a rewrite).
+  # state that gates a rewrite). Budget, Spill and Resume run the shared
+  # search governor under every budget: the budget matrix, the racing LTL
+  # budget tests (LtlBudget), and the parallel spill and resume paths.
   cmake -B build-tsan -S . -DPNP_SANITIZE=thread
-  cmake --build build-tsan -j --target test_parallel test_explore test_serve \
-    test_codegen test_reduce pnpv
+  cmake --build build-tsan -j "$(nproc)" --target test_parallel test_explore \
+    test_serve test_codegen test_reduce test_ltl test_durable pnpv
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-      -R 'Parallel|Swarm|Explore|Serve|pnpv\.threads|EnginePor|EngineExplore|EngineLtl|Cache'
+      -R 'Parallel|Swarm|Explore|Serve|pnpv\.threads|EnginePor|EngineExplore|EngineLtl|Cache|Budget|Spill|Resume'
 fi

@@ -1,7 +1,6 @@
 #include "explore/explorer.h"
 
 #include <algorithm>
-#include <chrono>
 #include <deque>
 #include <memory>
 #include <thread>
@@ -11,11 +10,11 @@
 #include "codegen/engine.h"
 #include "explore/checkpoint.h"
 #include "explore/collapse_keys.h"
+#include "explore/governor.h"
 #include "explore/por.h"
 #include "explore/visited.h"
 #include "support/hash.h"
 #include "support/panic.h"
-#include "support/spill.h"
 
 namespace pnp::explore {
 
@@ -98,8 +97,6 @@ using kernel::State;
 using kernel::Step;
 using kernel::Succ;
 
-constexpr std::uint64_t kBudgetCheckStride = 1024;
-
 /// The streaming sequential engine: COLLAPSE component compression, flat
 /// visited store, and mutate-and-revert successor generation through the
 /// run's engine. Runs every single-threaded search (exact and bitstate),
@@ -110,8 +107,9 @@ constexpr std::uint64_t kBudgetCheckStride = 1024;
 class FlatRun {
  public:
   FlatRun(const Machine& m, const Options& opt, std::uint64_t seed,
-          const std::atomic<bool>* stop)
-      : m_(m),
+          std::atomic<bool>* stop)
+      : gov_(opt, static_cast<std::uint32_t>(m.layout().size()), stop),
+        m_(m),
         opt_(opt),
         eng_(*opt.engine),
         visited_(opt.bitstate, opt.bitstate_bytes, seed),
@@ -123,8 +121,7 @@ class FlatRun {
         // generation dominates (DESIGN.md section 15.4); bitstate has no
         // exact probe to pipeline.
         defer_(!opt.bitstate &&
-               opt.engine->kind() != codegen::EngineKind::Interp),
-        stop_(stop) {
+               opt.engine->kind() != codegen::EngineKind::Interp) {
     PNP_CHECK(seed == 0 || opt.bitstate,
               "a seeded search order requires bitstate mode (replayed "
               "successors carry no undo log to delta-compress from)");
@@ -138,56 +135,55 @@ class FlatRun {
                 "threads > 1 (the sequential-DFS ample proviso depends on "
                 "the search stack, which a resumed run cannot reconstruct)");
     }
-    if (opt.resume_from != nullptr) {
-      PNP_CHECK(opt.resume_from->meta.state_size == m.layout().size(),
-                "checkpoint state size does not match this machine");
-    }
+    if (!opt.bitstate)
+      gov_.spill_into([this](support::SpillPool* pool) {
+        visited_.attach_spill(pool);
+        keys_.compressor().attach_spill(pool);
+      });
   }
 
   Result go() {
-    start_ = std::chrono::steady_clock::now();
     Result r = opt_.bfs ? bfs() : dfs();
     // Final checkpoint: persist the cut whenever the search ended without a
     // verdict -- on truncation/interrupt it is the resume point, and for a
     // complete pass it is an empty-frontier snapshot a resume returns from
     // immediately.
-    if (ckpt_enabled() && !r.violation.has_value()) commit_checkpoint();
-    r.stats.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-            .count();
+    if (gov_.checkpointing() && !r.violation.has_value()) commit_checkpoint();
     r.stats.states_stored = visited_.size();
     r.stats.states_matched = matched_;
     r.stats.transitions = transitions_;
     r.stats.max_depth_reached = max_depth_seen_;
-    r.stats.complete = complete_ && !opt_.bitstate;
-    r.stats.store_bytes = store_bytes();
-    r.stats.approx_memory_bytes = r.stats.store_bytes + frontier_bytes_;
-    r.stats.truncation = truncation_ != TruncationReason::None
-                             ? truncation_
-                             : (opt_.bitstate ? TruncationReason::BitstateApprox
-                                              : TruncationReason::None);
-    r.stats.spilled = spilled_;
-    if (spilled_)
-      r.stats.spill_bytes =
-          visited_.spill_bytes() + keys_.compressor().spill_bytes();
-    r.stats.checkpoints_written = ckpt_written_;
-    r.stats.resumed = opt_.resume_from != nullptr;
+    gov_.finish(r.stats, *this, opt_.bitstate);
     if (blk_ != nullptr) {
-      publish_counters();
-      obs::Recorder& rec = opt_.obs->recorder();
-      rec.max_gauge(obs::Gauge::StoreBytes, r.stats.store_bytes);
-      rec.max_gauge(obs::Gauge::FrontierBytes, frontier_bytes_);
-      rec.max_gauge(obs::Gauge::MaxDepthReached,
-                    static_cast<std::uint64_t>(max_depth_seen_));
-      if (!opt_.bitstate) {
-        rec.max_gauge(obs::Gauge::InternedComponents,
-                      keys_.compressor().components());
-        rec.max_gauge(obs::Gauge::CompressorBytes,
-                      keys_.compressor().approx_bytes());
-      }
-      r.stats.approx_memory_bytes += opt_.obs->approx_bytes();
+      publish();
+      gov_.publish(r.stats, opt_.bitstate ? nullptr : &keys_.compressor());
     }
     return r;
+  }
+
+  // The governor's view of this search (governor.h).
+  std::uint64_t stored() const { return visited_.size(); }
+
+  std::uint64_t store_bytes() const {
+    return visited_.approx_bytes() +
+           (opt_.bitstate ? 0 : keys_.compressor().approx_bytes());
+  }
+
+  /// The DFS stack (state vector + raw key per frame) or the BFS node deque,
+  /// which keeps every node for trail reconstruction.
+  std::uint64_t frontier_bytes() const {
+    const std::uint64_t sb = m_.layout().size() * sizeof(kernel::Value);
+    return opt_.bfs ? nodes_.size() * (sizeof(BfsNode) + sb)
+                    : stack_.size() * (sizeof(Frame) + 2 * sb);
+  }
+
+  void publish() {
+    blk_->set(obs::Counter::StatesStored, visited_.size());
+    blk_->set(obs::Counter::StatesMatched, matched_);
+    blk_->set(obs::Counter::Transitions, transitions_);
+    blk_->set(obs::Counter::PorAmpleSets, por_ample_);
+    blk_->set(obs::Counter::CompressFull, keys_.full_count());
+    blk_->set(obs::Counter::CompressDelta, keys_.delta_count());
   }
 
  private:
@@ -262,17 +258,17 @@ class FlatRun {
       return true;
     }
     if (visited_.size() >= opt_.max_states) {
-      truncate(TruncationReason::MaxStates);
+      gov_.truncate(TruncationReason::MaxStates);
       // stored, but not expanded: remember it for the final checkpoint so a
       // resume with a higher limit picks up exactly where this run stopped
-      if (ckpt_enabled())
+      if (gov_.checkpointing())
         overflow_.push_back(
             {State(ns), static_cast<std::uint32_t>(stack_.size())});
       return true;
     }
     if (static_cast<int>(stack_.size()) > opt_.max_depth) {
-      truncate(TruncationReason::MaxDepth);
-      if (ckpt_enabled())
+      gov_.truncate(TruncationReason::MaxDepth);
+      if (gov_.checkpointing())
         overflow_.push_back(
             {State(ns), static_cast<std::uint32_t>(stack_.size())});
       return true;
@@ -381,16 +377,16 @@ class FlatRun {
     Pending& p = pend_[0];
     ++f.next;
     if (visited_.size() >= opt_.max_states) {
-      truncate(TruncationReason::MaxStates);
-      if (ckpt_enabled())
+      gov_.truncate(TruncationReason::MaxStates);
+      if (gov_.checkpointing())
         overflow_.push_back(
             {pending_state(f, p), static_cast<std::uint32_t>(stack_.size())});
       pop_front();
       return false;
     }
     if (static_cast<int>(stack_.size()) > opt_.max_depth) {
-      truncate(TruncationReason::MaxDepth);
-      if (ckpt_enabled())
+      gov_.truncate(TruncationReason::MaxDepth);
+      if (gov_.checkpointing())
         overflow_.push_back(
             {pending_state(f, p), static_cast<std::uint32_t>(stack_.size())});
       pop_front();
@@ -446,12 +442,12 @@ class FlatRun {
     };
     const OnStackFn* proviso = opt_.por ? &on_stack_fn : nullptr;
 
-    if (opt_.resume_from != nullptr) {
+    if (const Checkpoint* c = gov_.resume(matched_, transitions_)) {
       // Resumed search: the visited set is re-seeded from the snapshot and
       // the frontier states wait in seeds_; each becomes a stack root when
       // the previous one's subtree is exhausted. POR is rejected here (see
       // the constructor), so on_stack_ stays empty.
-      seed_resume();
+      seed_resume(*c);
     } else {
       Frame root;
       root.state = m_.initial();
@@ -464,21 +460,10 @@ class FlatRun {
       stack_.push_back(std::move(root));
     }
 
-    const std::uint64_t per_frame_bytes =
-        sizeof(Frame) + 2 * state_bytes();  // state vector + raw key
     while (true) {
       if (stack_.empty() && !next_seed()) break;
-      if (stopped()) {
-        complete_ = false;
-        break;
-      }
-      if (interrupt_requested()) {
-        truncate(TruncationReason::Interrupted);
-        break;
-      }
-      if (over_budget(stack_.size() * per_frame_bytes)) break;
-      observe(stack_.size() * per_frame_bytes);
-      maybe_checkpoint();
+      if (gov_.pass(tick_, *this)) break;
+      if (gov_.checkpoint_due(visited_.size())) commit_checkpoint();
       Frame& f = stack_.back();
       const bool first = !f.checked;
       if (first) {
@@ -590,8 +575,8 @@ class FlatRun {
       return true;
     }
     if (visited_.size() >= opt_.max_states) {
-      truncate(TruncationReason::MaxStates);
-      if (ckpt_enabled()) overflow_.push_back({State(ns), 0});
+      gov_.truncate(TruncationReason::MaxStates);
+      if (gov_.checkpointing()) overflow_.push_back({State(ns), 0});
       return true;
     }
     nodes_.push_back({State(ns),
@@ -622,11 +607,11 @@ class FlatRun {
       return t;
     };
 
-    if (opt_.resume_from != nullptr) {
+    if (const Checkpoint* c = gov_.resume(matched_, transitions_)) {
       // Resumed search: frontier states re-enter the queue as parentless
       // roots, so a counterexample trail found after resume starts at a
       // checkpointed frontier state rather than the initial state.
-      seed_resume();
+      seed_resume(*c);
       for (Checkpoint::Pending& p : seeds_) {
         BfsNode n{std::move(p.state), {}, -1, {}};
         keys_.full(n.state);
@@ -641,23 +626,13 @@ class FlatRun {
       nodes_.push_back(std::move(root));
     }
 
-    const std::uint64_t per_node_bytes = sizeof(BfsNode) + state_bytes();
     // bfs_head_ is a member so a checkpoint cut knows where the unexpanded
     // tail begins; on a clean exit it equals nodes_.size() (empty frontier).
     for (bfs_head_ = 0;
          bfs_head_ < static_cast<std::int64_t>(nodes_.size()); ++bfs_head_) {
       const std::int64_t head = bfs_head_;
-      if (stopped()) {
-        complete_ = false;
-        break;
-      }
-      if (interrupt_requested()) {
-        truncate(TruncationReason::Interrupted);
-        break;
-      }
-      if (over_budget(nodes_.size() * per_node_bytes)) break;
-      observe(nodes_.size() * per_node_bytes);
-      maybe_checkpoint();
+      if (gov_.pass(tick_, *this)) break;
+      if (gov_.checkpoint_due(visited_.size())) commit_checkpoint();
       if (auto v = invariant_violation(
               m_, opt_, nodes_[static_cast<std::size_t>(head)].state)) {
         v->trace = build_trace(head, nullptr, nullptr);
@@ -737,11 +712,6 @@ class FlatRun {
     return keys_.delta(s, parent_ids.data(), scratch_.undo);
   }
 
-  std::uint64_t store_bytes() const {
-    return visited_.approx_bytes() +
-           (opt_.bitstate ? 0 : keys_.compressor().approx_bytes());
-  }
-
   trace::Trace stack_trace(const Step* extra_step,
                            const State* extra_state) const {
     trace::Trace t;
@@ -758,138 +728,38 @@ class FlatRun {
     return t;
   }
 
-  void truncate(TruncationReason why) {
-    complete_ = false;
-    if (truncation_ == TruncationReason::None) truncation_ = why;
-  }
-
-  /// Deadline / memory check, amortized: the clock and the footprint sum
-  /// are only consulted every `kBudgetCheckStride` expansion passes.
-  bool over_budget(std::uint64_t frontier_bytes) {
-    if (opt_.deadline_seconds <= 0.0 && opt_.memory_budget_bytes == 0)
-      return false;
-    if (++budget_tick_ % kBudgetCheckStride != 0) return false;
-    frontier_bytes_ = frontier_bytes;
-    if (opt_.deadline_seconds > 0.0) {
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start_)
-              .count();
-      if (elapsed >= opt_.deadline_seconds) {
-        truncate(TruncationReason::Deadline);
-        return true;
-      }
-    }
-    if (opt_.memory_budget_bytes > 0 && !spilled_) {
-      const std::uint64_t used =
-          store_bytes() + frontier_bytes + observer_bytes();
-      // Spill ahead of exhaustion (at 80% of the budget) so the resident
-      // probe arrays and pre-spill slabs stay under it; once spilled the
-      // budget governs residency, not growth, and never truncates.
-      if (!opt_.spill_dir.empty() && !opt_.bitstate &&
-          used >= opt_.memory_budget_bytes - opt_.memory_budget_bytes / 5) {
-        begin_spill(used);
-        if (spilled_) return false;
-      }
-      if (used >= opt_.memory_budget_bytes) {
-        truncate(TruncationReason::MemoryBudget);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Switches the visited-key arena and compressor intern pools to
-  /// disk-backed storage. Failure (unusable spill dir, disk full) falls
-  /// back to the in-RAM truncation path instead of aborting the search.
-  void begin_spill(std::uint64_t used) {
-    try {
-      spill_ = std::make_unique<support::SpillPool>(opt_.spill_dir);
-      visited_.attach_spill(spill_.get());
-      keys_.compressor().attach_spill(spill_.get());
-      spilled_ = true;
-      if (opt_.obs != nullptr)
-        opt_.obs->budget_warning("memory-spill", used,
-                                 opt_.memory_budget_bytes);
-    } catch (const ModelError&) {
-      spill_.reset();
-    }
-  }
-
-  bool interrupt_requested() const {
-    return opt_.interrupt != nullptr &&
-           opt_.interrupt->load(std::memory_order_relaxed);
-  }
-
-  bool ckpt_enabled() const {
-    return !opt_.checkpoint_path.empty() && !opt_.bitstate && !ckpt_failed_;
-  }
-
-  void maybe_checkpoint() {
-    if (!ckpt_enabled() || opt_.checkpoint_every == 0) return;
-    if (visited_.size() < last_ckpt_states_ + opt_.checkpoint_every) return;
-    commit_checkpoint();
-  }
-
   /// Commits a consistent cut: every visited state (decompressed back to
   /// value-array form) plus the unexpanded frontier -- the DFS stack / BFS
-  /// queue tail, unconsumed resume seeds, and truncation overflow. I/O
-  /// failure disables further checkpoints and keeps searching: losing
-  /// durability beats aborting a verification mid-flight.
+  /// queue tail, unconsumed resume seeds, and truncation overflow.
   void commit_checkpoint() {
-    CheckpointMeta meta;
-    meta.config_digest = opt_.config_digest;
-    meta.state_size = static_cast<std::uint32_t>(m_.layout().size());
-    meta.states_matched = matched_;
-    meta.transitions = transitions_;
-    meta.seq = ckpt_seq_ + 1;
-    try {
-      write_checkpoint(
-          opt_.checkpoint_path, meta,
-          [&](const StateSink& sink) {
-            visited_.for_each_key([&](std::span<const std::uint8_t> key) {
-              sink(keys_.compressor().decompress(key), 0);
-            });
-          },
-          [&](const StateSink& sink) {
-            if (opt_.bfs) {
-              for (std::int64_t j = bfs_head_;
-                   j < static_cast<std::int64_t>(nodes_.size()); ++j)
-                sink(nodes_[static_cast<std::size_t>(j)].state, 0);
-            } else {
-              for (std::size_t i = 0; i < stack_.size(); ++i)
-                sink(stack_[i].state, static_cast<std::uint32_t>(i));
-            }
-            for (const Checkpoint::Pending& p : seeds_) sink(p.state, p.depth);
-            for (const Checkpoint::Pending& p : overflow_)
-              sink(p.state, p.depth);
+    gov_.commit(
+        visited_.size(), matched_, transitions_,
+        [&](const StateSink& sink) {
+          visited_.for_each_key([&](std::span<const std::uint8_t> key) {
+            sink(keys_.compressor().decompress(key), 0);
           });
-    } catch (const ModelError&) {
-      ckpt_failed_ = true;
-      if (opt_.obs != nullptr)
-        opt_.obs->budget_warning("checkpoint-io", ckpt_seq_ + 1, 0);
-      return;
-    }
-    ++ckpt_seq_;
-    ++ckpt_written_;
-    last_ckpt_states_ = visited_.size();
-    if (opt_.obs != nullptr)
-      opt_.obs->checkpointed(opt_.checkpoint_path, visited_.size(), ckpt_seq_);
+        },
+        [&](const StateSink& sink) {
+          if (opt_.bfs) {
+            for (std::int64_t j = bfs_head_;
+                 j < static_cast<std::int64_t>(nodes_.size()); ++j)
+              sink(nodes_[static_cast<std::size_t>(j)].state, 0);
+          } else {
+            for (std::size_t i = 0; i < stack_.size(); ++i)
+              sink(stack_[i].state, static_cast<std::uint32_t>(i));
+          }
+          for (const Checkpoint::Pending& p : seeds_) sink(p.state, p.depth);
+          for (const Checkpoint::Pending& p : overflow_) sink(p.state, p.depth);
+        });
   }
 
-  /// Re-seeds the visited set and counters from opt_.resume_from. The
-  /// compressor re-interns every state, rebuilding its tables and arenas
-  /// deterministically; the frontier lands in seeds_.
-  void seed_resume() {
-    const Checkpoint& c = *opt_.resume_from;
+  /// Re-seeds the visited set from a checkpoint. The compressor re-interns
+  /// every state, rebuilding its tables and arenas deterministically; the
+  /// frontier lands in seeds_.
+  void seed_resume(const Checkpoint& c) {
     for (const State& s : c.visited) visited_.insert(keys_.full(s));
-    matched_ = c.meta.states_matched;
-    transitions_ = c.meta.transitions;
-    ckpt_seq_ = c.meta.seq;
-    last_ckpt_states_ = visited_.size();
     seeds_.assign(c.frontier.begin(), c.frontier.end());
-    if (opt_.obs != nullptr)
-      opt_.obs->resumed(opt_.checkpoint_path, visited_.size());
+    gov_.resumed(visited_.size());
   }
 
   /// Pops the next resume seed onto the empty DFS stack. Seed frames sit at
@@ -906,53 +776,7 @@ class FlatRun {
     return true;
   }
 
-  std::uint64_t observer_bytes() const {
-    return opt_.obs != nullptr ? opt_.obs->approx_bytes() : 0;
-  }
-
-  /// Telemetry tick, amortized like over_budget(): every kBudgetCheckStride
-  /// expansion passes, publish the local tallies into this run's counter
-  /// block (absolute relaxed stores), offer a rate-limited heartbeat, and
-  /// emit the one-shot 80% budget warnings.
-  void observe(std::uint64_t frontier_bytes) {
-    if (blk_ == nullptr) return;
-    if (++obs_tick_ % kBudgetCheckStride != 0) return;
-    publish_counters();
-    const std::uint64_t stored = visited_.size();
-    opt_.obs->progress(stored, opt_.max_states);
-    if (!warned_states_ && opt_.max_states > 0 &&
-        stored >= opt_.max_states - opt_.max_states / 5) {
-      warned_states_ = true;
-      opt_.obs->budget_warning("max-states", stored, opt_.max_states);
-    }
-    if (!warned_memory_ && opt_.memory_budget_bytes > 0) {
-      const std::uint64_t used =
-          store_bytes() + frontier_bytes + observer_bytes();
-      if (used >= opt_.memory_budget_bytes - opt_.memory_budget_bytes / 5) {
-        warned_memory_ = true;
-        opt_.obs->budget_warning("memory", used, opt_.memory_budget_bytes);
-      }
-    }
-  }
-
-  void publish_counters() {
-    blk_->set(obs::Counter::StatesStored, visited_.size());
-    blk_->set(obs::Counter::StatesMatched, matched_);
-    blk_->set(obs::Counter::Transitions, transitions_);
-    blk_->set(obs::Counter::PorAmpleSets, por_ample_);
-    blk_->set(obs::Counter::CompressFull, keys_.full_count());
-    blk_->set(obs::Counter::CompressDelta, keys_.delta_count());
-  }
-
-  std::uint64_t state_bytes() const {
-    return static_cast<std::uint64_t>(m_.layout().size()) *
-           sizeof(kernel::Value);
-  }
-
-  bool stopped() const {
-    return stop_ != nullptr && stop_->load(std::memory_order_relaxed);
-  }
-
+  Governor gov_;  // first: its spill pool outlives the stores
   const Machine& m_;
   const Options& opt_;
   const codegen::Engine& eng_;
@@ -960,7 +784,6 @@ class FlatRun {
   CollapseKeys keys_;  // exact-mode keys (COLLAPSE, delta from parent ids)
   std::uint64_t seed_;  // swarm order and filter seed; 0 = canonical search
   bool defer_;          // pipeline the DFS's visited probes (see dfs_deferred)
-  const std::atomic<bool>* stop_ = nullptr;
 
   kernel::SuccScratch scratch_;
   std::vector<Frame> stack_;
@@ -972,26 +795,13 @@ class FlatRun {
 
   std::uint64_t matched_ = 0;
   std::uint64_t transitions_ = 0;
-  std::uint64_t budget_tick_ = 0;
-  std::uint64_t frontier_bytes_ = 0;
+  std::uint64_t tick_ = 0;  // expansion passes, for the governor's stride
   int max_depth_seen_ = 0;
-  bool complete_ = true;
-  TruncationReason truncation_ = TruncationReason::None;
-  std::chrono::steady_clock::time_point start_{};
 
   obs::CounterBlock* blk_ = nullptr;  // this run's telemetry slice
-  std::uint64_t obs_tick_ = 0;
   std::uint64_t por_ample_ = 0;
-  bool warned_states_ = false;
-  bool warned_memory_ = false;
 
-  // -- durability state ------------------------------------------------------
-  std::unique_ptr<support::SpillPool> spill_;
-  bool spilled_ = false;
-  bool ckpt_failed_ = false;
-  std::uint64_t ckpt_seq_ = 0;        // last committed sequence number
-  std::uint64_t ckpt_written_ = 0;    // checkpoints committed by THIS run
-  std::uint64_t last_ckpt_states_ = 0;
+  // -- checkpoint contents ---------------------------------------------------
   std::int64_t bfs_head_ = 0;         // first unexpanded BFS node
   std::vector<Checkpoint::Pending> seeds_;     // resume frontier, unconsumed
   std::vector<Checkpoint::Pending> overflow_;  // stored-not-expanded on limit
@@ -1008,7 +818,7 @@ int resolve_threads(int requested) {
 namespace detail {
 
 Result run_single(const kernel::Machine& m, const Options& opt,
-                  std::uint64_t seed, const std::atomic<bool>* stop) {
+                  std::uint64_t seed, std::atomic<bool>* stop) {
   FlatRun run(m, opt, seed, stop);
   return run.go();
 }

@@ -48,7 +48,9 @@ struct Options {
   /// search stops early and returns a partial result with
   /// `Stats::truncation == TruncationReason::Deadline`.
   double deadline_seconds = 0.0;
-  /// Approximate cap on search memory (visited set + frontier); 0 disables.
+  /// Approximate cap on search memory (resident store + frontier + the
+  /// observer's footprint); 0 disables. Both budgets are looked at every
+  /// kBudgetCheckStride expansion passes (explore/governor.h).
   std::uint64_t memory_budget_bytes = 0;
   /// Worker threads for the search. 1 (the default) runs the sequential
   /// engine, bit-for-bit identical to prior behavior; 0 means hardware
@@ -56,15 +58,16 @@ struct Options {
   /// (lock-striped) visited set with a work-stealing frontier -- verdicts
   /// and, for complete runs, reached-state counts are independent of the
   /// thread count (counterexample trails may differ). Bitstate mode becomes
-  /// swarm search: N independently seeded bitstate searches run concurrently
-  /// and their verdicts are merged.
+  /// swarm search: N independently seeded bitstate searches, each held to a
+  /// 1/N share of memory_budget_bytes, run concurrently and their verdicts
+  /// are merged.
   int threads = 1;
   /// Observability context: engines publish counters into per-run blocks
   /// (opened on obs->recorder()), emit rate-limited Progress heartbeats,
-  /// an 80% BudgetWarning per budget, and set store/frontier gauges. Null
-  /// (the default) disables all of it at the cost of one branch per
-  /// budget-check stride. The recorder's own footprint is charged against
-  /// memory_budget_bytes, keeping the budget honest.
+  /// an 80% BudgetWarning per budget, and set store and peak-frontier
+  /// gauges. Null (the default) disables all of it at the cost of one
+  /// branch per budget-check stride. The recorder's own footprint is
+  /// charged against memory_budget_bytes, keeping the budget honest.
   obs::Observer* obs = nullptr;
 
   /// Successor engine (codegen::make_engine) every search mode generates
@@ -77,8 +80,8 @@ struct Options {
 
   // -- durability (see DESIGN.md section 13) -------------------------------
 
-  /// Directory for mmap'd spill files. When set, an exact engine that
-  /// reaches the memory budget attaches disk-backed storage to its
+  /// Directory for mmap'd spill files. When set, an exact search that
+  /// reaches 80% of the memory budget attaches disk-backed storage to its
   /// visited-key arena and compressor intern pools and keeps exploring
   /// (complete, exact) instead of truncating with MemoryBudget. The budget
   /// then governs the resident set; spilled pages are clean-evictable.
@@ -150,7 +153,8 @@ struct Stats {
   bool complete = true;
   /// Structured explanation for `complete == false`.
   TruncationReason truncation = TruncationReason::None;
-  /// Rough bytes held by the visited set and frontier at the end of the run.
+  /// Rough bytes the search held: the visited store at the end, the
+  /// frontier at its peak, and the observer's footprint.
   std::uint64_t approx_memory_bytes = 0;
   /// Peak bytes held by the visited store alone: probe tables + key arenas +
   /// component intern tables in exact mode, the Bloom filter in bitstate
@@ -217,7 +221,7 @@ namespace detail {
 /// aborts the search cooperatively. explore() uses (0, nullptr), the
 /// canonical search.
 Result run_single(const kernel::Machine& m, const Options& opt,
-                  std::uint64_t seed, const std::atomic<bool>* stop);
+                  std::uint64_t seed, std::atomic<bool>* stop);
 
 /// Exact parallel reachability: sharded visited set + work-stealing frontier.
 Result run_parallel(const kernel::Machine& m, const Options& opt, int threads);

@@ -26,19 +26,17 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <thread>
 
 #include "codegen/engine.h"
 #include "explore/checkpoint.h"
 #include "explore/explorer.h"
+#include "explore/governor.h"
 #include "explore/por.h"
 #include "explore/visited.h"
 #include "kernel/compress.h"
 #include "support/hash.h"
-#include "support/panic.h"
-#include "support/spill.h"
 
 namespace pnp::explore {
 namespace detail {
@@ -54,24 +52,26 @@ constexpr std::uint64_t kNoGid = ~std::uint64_t{0};
 class ParallelRun {
  public:
   ParallelRun(const Machine& m, const Options& opt, int threads)
-      : m_(m),
+      : gov_(opt, static_cast<std::uint32_t>(m.layout().size())),
+        m_(m),
         opt_(opt),
         n_(threads),
         workers_(static_cast<std::size_t>(threads)),
         compressor_(m.layout(), /*stripes=*/16) {
     if (opt.obs != nullptr)
       for (Worker& w : workers_) w.blk = opt.obs->recorder().open_block();
-    if (opt.resume_from != nullptr) {
-      PNP_CHECK(opt.resume_from->meta.state_size == m.layout().size(),
-                "checkpoint state size does not match this machine");
-    }
+    // Both stores attach under their own locks, so racing workers keep
+    // inserting throughout the switch.
+    gov_.spill_into([this](support::SpillPool* pool) {
+      visited_.attach_spill(pool);
+      compressor_.attach_spill(pool);
+    });
   }
 
   Result go() {
-    start_ = std::chrono::steady_clock::now();
     active_ = n_;
-    if (opt_.resume_from != nullptr)
-      seed_resume();
+    if (const Checkpoint* c = gov_.resume(base_matched_, base_transitions_))
+      seed_resume(*c);
     else
       seed_root();
     std::vector<std::thread> threads;
@@ -80,6 +80,27 @@ class ParallelRun {
       threads.emplace_back([this, w] { work(w); });
     for (std::thread& t : threads) t.join();
     return finish();
+  }
+
+  // The governor's view of the run (governor.h).
+  std::uint64_t stored() const { return visited_.size(); }
+
+  std::uint64_t store_bytes() const {
+    return visited_.approx_bytes() + compressor_.approx_bytes();
+  }
+
+  /// Queued items plus the parent-edge arenas, from atomic counters only:
+  /// every in-flight item carries a state, every stored state at most one
+  /// arena node.
+  std::uint64_t frontier_bytes() const {
+    const std::uint64_t state_bytes =
+        static_cast<std::uint64_t>(m_.layout().size()) * sizeof(kernel::Value);
+    const auto inflight =
+        static_cast<std::uint64_t>(std::max<std::int64_t>(
+            0, inflight_.load(std::memory_order_relaxed)));
+    std::uint64_t bytes = inflight * (sizeof(Item) + state_bytes);
+    if (opt_.want_trace) bytes += visited_.size() * sizeof(Node);
+    return bytes;
   }
 
  private:
@@ -104,11 +125,10 @@ class ParallelRun {
     std::deque<Item> queue;
     std::deque<Node> nodes;  // stable addresses; grows only
     WorkerStats stats;
-    std::uint64_t budget_tick = 0;
+    std::uint64_t tick = 0;              // expansions, for the governor
     kernel::SuccScratch scratch;         // mutate-and-revert workspace
     std::vector<std::uint8_t> key_buf;   // compressed-key scratch
     obs::CounterBlock* blk = nullptr;    // this worker's telemetry slice
-    std::uint64_t obs_tick = 0;
     std::uint64_t por_ample = 0;
     // Stored-but-never-queued states (max_states/max_depth), kept so a
     // final checkpoint's frontier is exactly where this run stopped.
@@ -122,6 +142,17 @@ class ParallelRun {
     std::uint64_t gid = kNoGid;      // node of the state being expanded
     std::optional<Step> extra_step;  // assert step beyond that state, if any
     State final_state;
+  };
+
+  /// What the governor reads on worker `me`'s stride tick: the run's store
+  /// and frontier, and `me`'s own counter block.
+  struct WorkerView {
+    ParallelRun& run;
+    Worker& me;
+    std::uint64_t stored() const { return run.stored(); }
+    std::uint64_t store_bytes() const { return run.store_bytes(); }
+    std::uint64_t frontier_bytes() const { return run.frontier_bytes(); }
+    void publish() { run.publish_worker(me); }
   };
 
   static std::uint64_t make_gid(int w, std::uint64_t index) {
@@ -146,17 +177,12 @@ class ParallelRun {
   /// round-robin across the workers' queues. Frontier items are parentless
   /// (gid == kNoGid): a trail found after resume starts at a checkpointed
   /// frontier state.
-  void seed_resume() {
-    const Checkpoint& c = *opt_.resume_from;
+  void seed_resume(const Checkpoint& c) {
     Worker& w0 = workers_[0];
     for (const State& s : c.visited) {
       compressor_.compress(s, w0.key_buf);
       visited_.insert(w0.key_buf, ShardedVisitedSet::hash_key(w0.key_buf));
     }
-    base_matched_ = c.meta.states_matched;
-    base_transitions_ = c.meta.transitions;
-    ckpt_seq_ = c.meta.seq;
-    last_ckpt_states_.store(visited_.size(), std::memory_order_relaxed);
     std::int64_t inflight = 0;
     for (std::size_t i = 0; i < c.frontier.size(); ++i) {
       Item it;
@@ -167,56 +193,37 @@ class ParallelRun {
       ++inflight;
     }
     inflight_.store(inflight, std::memory_order_relaxed);
-    if (opt_.obs != nullptr) {
-      // Restored states are nobody's WorkerStats; charge them to the base
-      // block so the merged StatesStored total matches visited_.size().
+    // Restored states are nobody's WorkerStats; charge them to the base
+    // block so the merged StatesStored total matches visited_.size().
+    if (opt_.obs != nullptr)
       opt_.obs->recorder().add(obs::Counter::StatesStored, visited_.size());
-      opt_.obs->resumed(opt_.checkpoint_path, visited_.size());
-    }
+    gov_.resumed(visited_.size());
   }
 
   /// Commits a consistent cut. Callers must have quiesced the workers (the
-  /// barrier during the run, or joined threads afterwards). I/O failure
-  /// disables further checkpoints rather than aborting the verification.
+  /// barrier during the run, or joined threads afterwards).
   void commit_checkpoint() {
-    CheckpointMeta meta;
-    meta.config_digest = opt_.config_digest;
-    meta.state_size = static_cast<std::uint32_t>(m_.layout().size());
-    meta.states_matched = base_matched_;
-    meta.transitions = base_transitions_;
+    std::uint64_t matched = base_matched_;
+    std::uint64_t transitions = base_transitions_;
     for (Worker& w : workers_) {
-      meta.states_matched += w.stats.states_matched;
-      meta.transitions += w.stats.transitions;
+      matched += w.stats.states_matched;
+      transitions += w.stats.transitions;
     }
-    meta.seq = ckpt_seq_ + 1;
-    try {
-      write_checkpoint(
-          opt_.checkpoint_path, meta,
-          [&](const StateSink& sink) {
-            visited_.for_each_key([&](std::span<const std::uint8_t> key) {
-              sink(compressor_.decompress(key), 0);
-            });
-          },
-          [&](const StateSink& sink) {
-            for (Worker& w : workers_) {
-              std::lock_guard<std::mutex> lock(w.mu);
-              for (const Item& it : w.queue) sink(it.state, it.depth);
-              for (const Checkpoint::Pending& p : w.overflow)
-                sink(p.state, p.depth);
-            }
+    gov_.commit(
+        visited_.size(), matched, transitions,
+        [&](const StateSink& sink) {
+          visited_.for_each_key([&](std::span<const std::uint8_t> key) {
+            sink(compressor_.decompress(key), 0);
           });
-    } catch (const ModelError&) {
-      ckpt_failed_ = true;
-      if (opt_.obs != nullptr)
-        opt_.obs->budget_warning("checkpoint-io", ckpt_seq_ + 1, 0);
-      return;
-    }
-    ++ckpt_seq_;
-    ++ckpt_written_;
-    last_ckpt_states_.store(visited_.size(), std::memory_order_relaxed);
-    if (opt_.obs != nullptr)
-      opt_.obs->checkpointed(opt_.checkpoint_path, visited_.size(),
-                             ckpt_seq_);
+        },
+        [&](const StateSink& sink) {
+          for (Worker& w : workers_) {
+            std::lock_guard<std::mutex> lock(w.mu);
+            for (const Item& it : w.queue) sink(it.state, it.depth);
+            for (const Checkpoint::Pending& p : w.overflow)
+              sink(p.state, p.depth);
+          }
+        });
   }
 
   bool pop_own(Worker& me, Item& out) {
@@ -254,7 +261,7 @@ class ParallelRun {
   void work(int w) {
     Worker& me = workers_[static_cast<std::size_t>(w)];
     const auto t0 = std::chrono::steady_clock::now();
-    while (!stop_.load(std::memory_order_relaxed)) {
+    while (!gov_.stopped()) {
       ckpt_point(me);
       Item item;
       if (!pop_own(me, item) && !steal(w, item)) {
@@ -264,10 +271,11 @@ class ParallelRun {
       }
       expand(w, me, item);
       inflight_.fetch_sub(1, std::memory_order_release);
-      observe(me);
     }
     // Retire from the checkpoint barrier so a coordinator never waits for a
-    // worker that already exited.
+    // worker that already exited. This also wakes everyone parked there
+    // when a stop ended the loop: taking park_mu_ first closes the
+    // pred-check/sleep race against the lock-free stop flag.
     {
       std::lock_guard<std::mutex> lock(park_mu_);
       --active_;
@@ -289,29 +297,12 @@ class ParallelRun {
   // skip the barrier entirely: they stop the run and the final checkpoint is
   // written after the workers joined.
 
-  bool interrupt_requested() const {
-    return opt_.interrupt != nullptr &&
-           opt_.interrupt->load(std::memory_order_relaxed);
-  }
-
-  bool ckpt_enabled() const {
-    return !opt_.checkpoint_path.empty() && !ckpt_failed_;
-  }
-
   void ckpt_point(Worker& me) {
-    if (interrupt_requested()) {
-      truncate(TruncationReason::Interrupted);  // stops every worker
-      return;
-    }
     if (ckpt_request_.load(std::memory_order_acquire)) {
       park(me);
       return;
     }
-    if (!ckpt_enabled() || opt_.checkpoint_every == 0) return;
-    if (visited_.size() <
-        last_ckpt_states_.load(std::memory_order_relaxed) +
-            opt_.checkpoint_every)
-      return;
+    if (!gov_.checkpoint_due(visited_.size())) return;
     bool expected = false;
     if (!ckpt_request_.compare_exchange_strong(expected, true))
       return;  // lost the election; next loop iteration parks
@@ -324,7 +315,7 @@ class ParallelRun {
     park_cv_.notify_all();
     park_cv_.wait(lock, [&] {
       return !ckpt_request_.load(std::memory_order_acquire) ||
-             stop_.load(std::memory_order_relaxed);
+             gov_.stopped();
     });
     --parked_;
   }
@@ -333,90 +324,12 @@ class ParallelRun {
     {
       std::unique_lock<std::mutex> lock(park_mu_);
       ++parked_;  // count self
-      park_cv_.wait(lock, [&] {
-        return parked_ == active_ || stop_.load(std::memory_order_relaxed);
-      });
-      if (!stop_.load(std::memory_order_relaxed)) commit_checkpoint();
+      park_cv_.wait(lock, [&] { return parked_ == active_ || gov_.stopped(); });
+      if (!gov_.stopped()) commit_checkpoint();
       --parked_;
       ckpt_request_.store(false, std::memory_order_release);
     }
     park_cv_.notify_all();
-  }
-
-  /// Deadline / memory check, amortized per worker.
-  bool over_budget(Worker& me) {
-    if (opt_.deadline_seconds <= 0.0 && opt_.memory_budget_bytes == 0)
-      return false;
-    if (++me.budget_tick % kBudgetCheckStride != 0) return false;
-    if (opt_.deadline_seconds > 0.0) {
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start_)
-              .count();
-      if (elapsed >= opt_.deadline_seconds) {
-        truncate(TruncationReason::Deadline);
-        return true;
-      }
-    }
-    if (opt_.memory_budget_bytes > 0 &&
-        !spilled_.load(std::memory_order_relaxed)) {
-      const std::uint64_t used = approx_memory();
-      // Spill ahead of exhaustion (80%) so the resident probe arrays and
-      // pre-spill slabs stay under the budget; once spilled the budget
-      // governs residency, not growth, and never truncates.
-      if (!opt_.spill_dir.empty() &&
-          used >= opt_.memory_budget_bytes - opt_.memory_budget_bytes / 5) {
-        begin_spill(used);
-        if (spilled_.load(std::memory_order_relaxed)) return false;
-      }
-      if (used >= opt_.memory_budget_bytes) {
-        truncate(TruncationReason::MemoryBudget);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Switches the sharded visited set and compressor to disk-backed slab
-  /// allocation; both attach under their own locks, so racing workers keep
-  /// inserting throughout. Failure falls back to in-RAM truncation.
-  void begin_spill(std::uint64_t used) {
-    std::lock_guard<std::mutex> lock(spill_mu_);
-    if (spilled_.load(std::memory_order_relaxed) || spill_failed_) return;
-    try {
-      spill_pool_ = std::make_unique<support::SpillPool>(opt_.spill_dir);
-      visited_.attach_spill(spill_pool_.get());
-      compressor_.attach_spill(spill_pool_.get());
-      spilled_.store(true, std::memory_order_release);
-      if (opt_.obs != nullptr)
-        opt_.obs->budget_warning("memory-spill", used,
-                                 opt_.memory_budget_bytes);
-    } catch (const ModelError&) {
-      spill_pool_.reset();
-      spill_failed_ = true;
-    }
-  }
-
-  /// Per-worker telemetry tick (amortized like over_budget): publish this
-  /// worker's tallies into its own counter block, offer the shared
-  /// rate-limited heartbeat, and raise the one-shot 80% budget warnings.
-  void observe(Worker& me) {
-    if (me.blk == nullptr) return;
-    if (++me.obs_tick % kBudgetCheckStride != 0) return;
-    publish_worker(me);
-    const std::uint64_t stored = visited_.size();
-    opt_.obs->progress(stored, opt_.max_states);
-    if (opt_.max_states > 0 &&
-        stored >= opt_.max_states - opt_.max_states / 5 &&
-        !warned_states_.exchange(true, std::memory_order_relaxed))
-      opt_.obs->budget_warning("max-states", stored, opt_.max_states);
-    if (opt_.memory_budget_bytes > 0) {
-      const std::uint64_t used = approx_memory();
-      if (used >=
-              opt_.memory_budget_bytes - opt_.memory_budget_bytes / 5 &&
-          !warned_memory_.exchange(true, std::memory_order_relaxed))
-        opt_.obs->budget_warning("memory", used, opt_.memory_budget_bytes);
-    }
   }
 
   void publish_worker(Worker& me) {
@@ -424,43 +337,6 @@ class ParallelRun {
     me.blk->set(obs::Counter::StatesMatched, me.stats.states_matched);
     me.blk->set(obs::Counter::Transitions, me.stats.transitions);
     me.blk->set(obs::Counter::PorAmpleSets, me.por_ample);
-  }
-
-  std::uint64_t store_bytes() const {
-    return visited_.approx_bytes() + compressor_.approx_bytes();
-  }
-
-  std::uint64_t approx_memory() const {
-    // Store + frontier + arenas, estimated from atomic counters only
-    // (per-worker containers are not safely readable cross-thread): every
-    // in-flight item carries a state, and every stored state has at most one
-    // arena node.
-    const std::uint64_t state_bytes =
-        static_cast<std::uint64_t>(m_.layout().size()) * sizeof(kernel::Value);
-    const auto inflight =
-        static_cast<std::uint64_t>(std::max<std::int64_t>(
-            0, inflight_.load(std::memory_order_relaxed)));
-    std::uint64_t bytes = store_bytes() +
-                          inflight * (sizeof(Item) + state_bytes);
-    if (opt_.want_trace) bytes += visited_.size() * sizeof(Node);
-    if (opt_.obs != nullptr) bytes += opt_.obs->approx_bytes();
-    return bytes;
-  }
-
-  void truncate(TruncationReason why) {
-    {
-      std::lock_guard<std::mutex> lock(trunc_mu_);
-      complete_ = false;
-      if (truncation_ == TruncationReason::None) truncation_ = why;
-      if (why == TruncationReason::Deadline ||
-          why == TruncationReason::MemoryBudget ||
-          why == TruncationReason::Interrupted)
-        stop_.store(true, std::memory_order_relaxed);  // hard stop: all workers
-    }
-    // Wake anyone parked at the checkpoint barrier. Taking park_mu_ first
-    // closes the pred-check/sleep race against the lock-free stop_ store.
-    { std::lock_guard<std::mutex> lock(park_mu_); }
-    park_cv_.notify_all();
   }
 
   void record_violation(Violation v, std::uint64_t gid,
@@ -475,7 +351,7 @@ class ParallelRun {
       win.final_state = final_state;
       winner_ = std::move(win);
     }
-    stop_.store(true, std::memory_order_release);
+    gov_.stop();
   }
 
   /// Streams one popped item's successors: dedup against the shared store,
@@ -487,7 +363,7 @@ class ParallelRun {
         : run_(run), w_(w), me_(me), item_(item) {}
 
     bool on_successor(const State& ns, const Step& step) override {
-      if (run_.stop_.load(std::memory_order_relaxed)) {
+      if (run_.gov_.stopped()) {
         aborted = true;
         return false;
       }
@@ -524,15 +400,17 @@ class ParallelRun {
     }
     ++me.stats.states_stored;
     if (visited_.size() >= opt_.max_states) {
-      truncate(TruncationReason::MaxStates);
+      gov_.truncate(TruncationReason::MaxStates);
       // stored, but not expanded: same as the sequential engine; remembered
       // so the final checkpoint's frontier is exactly where this run stopped
-      if (ckpt_enabled()) me.overflow.push_back({State(ns), item.depth + 1});
+      if (gov_.checkpointing())
+        me.overflow.push_back({State(ns), item.depth + 1});
       return true;
     }
     if (item.depth + 1 > static_cast<std::uint32_t>(opt_.max_depth)) {
-      truncate(TruncationReason::MaxDepth);
-      if (ckpt_enabled()) me.overflow.push_back({State(ns), item.depth + 1});
+      gov_.truncate(TruncationReason::MaxDepth);
+      if (gov_.checkpointing())
+        me.overflow.push_back({State(ns), item.depth + 1});
       return true;
     }
     Item next;
@@ -547,10 +425,10 @@ class ParallelRun {
   }
 
   void expand(int w, Worker& me, Item& item) {
-    if (over_budget(me)) {
+    if (gov_.pass(me.tick, WorkerView{*this, me})) {
       // The item was popped but not expanded; requeue it so a final
       // checkpoint's frontier still covers its subtree.
-      if (ckpt_enabled()) push(me, std::move(item));
+      if (gov_.checkpointing()) push(me, std::move(item));
       return;
     }
     me.stats.max_depth_reached =
@@ -580,7 +458,7 @@ class ParallelRun {
     // An aborted pass left successors ungenerated: requeue the item so the
     // final checkpoint re-expands it on resume (idempotent -- its explored
     // successors dedup against the visited set).
-    if (sink.aborted && ckpt_enabled()) push(me, std::move(item));
+    if (sink.aborted && gov_.checkpointing()) push(me, std::move(item));
   }
 
   trace::Trace rebuild_trace(const Win& win) const {
@@ -605,63 +483,33 @@ class ParallelRun {
   Result finish() {
     // Final checkpoint: all workers joined, so the queues + overflow lists
     // are the exact unexpanded frontier of wherever the run stopped.
-    if (ckpt_enabled() && !winner_) commit_checkpoint();
+    if (gov_.checkpointing() && !winner_) commit_checkpoint();
     Result r;
+    if (winner_) {
+      r.violation = std::move(winner_->violation);
+      r.violation->trace = rebuild_trace(*winner_);
+    }
     Stats& st = r.stats;
     st.threads = n_;
     st.states_stored = visited_.size();
     st.states_matched = base_matched_;
     st.transitions = base_transitions_;
-    std::uint64_t nodes_total = 0;
-    std::uint64_t queued = 0;
     for (Worker& w : workers_) {
       st.states_matched += w.stats.states_matched;
       st.transitions += w.stats.transitions;
       st.max_depth_reached =
           std::max(st.max_depth_reached, w.stats.max_depth_reached);
       st.workers.push_back(w.stats);
-      nodes_total += w.nodes.size();
-      queued += w.queue.size();
     }
-    const std::uint64_t state_bytes =
-        static_cast<std::uint64_t>(m_.layout().size()) * sizeof(kernel::Value);
-    st.store_bytes = store_bytes();
-    st.approx_memory_bytes = st.store_bytes +
-                             nodes_total * sizeof(Node) +
-                             queued * (sizeof(Item) + state_bytes);
-    st.complete = complete_;
-    st.truncation = truncation_;
-    st.spilled = spilled_.load(std::memory_order_relaxed);
-    if (st.spilled)
-      st.spill_bytes = visited_.spill_bytes() + compressor_.spill_bytes();
-    st.checkpoints_written = ckpt_written_;
-    st.resumed = opt_.resume_from != nullptr;
+    gov_.finish(st, *this);
     if (opt_.obs != nullptr) {
-      for (Worker& w : workers_)
-        if (w.blk != nullptr) publish_worker(w);
-      obs::Recorder& rec = opt_.obs->recorder();
-      rec.max_gauge(obs::Gauge::StoreBytes, st.store_bytes);
-      rec.max_gauge(obs::Gauge::FrontierBytes,
-                    queued * (sizeof(Item) + state_bytes));
-      rec.max_gauge(obs::Gauge::InternedComponents, compressor_.components());
-      rec.max_gauge(obs::Gauge::CompressorBytes, compressor_.approx_bytes());
-      rec.max_gauge(obs::Gauge::MaxDepthReached,
-                    static_cast<std::uint64_t>(st.max_depth_reached));
-      st.approx_memory_bytes += opt_.obs->approx_bytes();
+      for (Worker& w : workers_) publish_worker(w);
+      gov_.publish(st, &compressor_);
     }
-    if (winner_) {
-      r.violation = std::move(winner_->violation);
-      r.violation->trace = rebuild_trace(*winner_);
-    }
-    st.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_)
-            .count();
     return r;
   }
 
-  static constexpr std::uint64_t kBudgetCheckStride = 1024;
-
+  Governor gov_;  // first: its spill pool outlives the stores
   const Machine& m_;
   const Options& opt_;
   const int n_;
@@ -669,38 +517,19 @@ class ParallelRun {
 
   ShardedVisitedSet visited_;
   kernel::StateCompressor compressor_;
-  std::atomic<bool> stop_{false};
   std::atomic<std::int64_t> inflight_{0};
-
-  std::mutex trunc_mu_;
-  bool complete_ = true;
-  TruncationReason truncation_ = TruncationReason::None;
-
-  std::atomic<bool> warned_states_{false};
-  std::atomic<bool> warned_memory_{false};
 
   std::mutex win_mu_;
   std::optional<Win> winner_;
 
-  // -- durability state ------------------------------------------------------
-  std::mutex spill_mu_;
-  std::unique_ptr<support::SpillPool> spill_pool_;
-  std::atomic<bool> spilled_{false};
-  bool spill_failed_ = false;  // guarded by spill_mu_
-
+  // -- checkpoint barrier ----------------------------------------------------
   std::atomic<bool> ckpt_request_{false};
   std::mutex park_mu_;
   std::condition_variable park_cv_;
   int parked_ = 0;   // guarded by park_mu_
   int active_ = 0;   // guarded by park_mu_; workers retire on exit
-  bool ckpt_failed_ = false;             // coordinator/finish only
-  std::uint64_t ckpt_seq_ = 0;           // coordinator/finish only
-  std::uint64_t ckpt_written_ = 0;       // coordinator/finish only
-  std::atomic<std::uint64_t> last_ckpt_states_{0};
-  std::uint64_t base_matched_ = 0;       // resume baselines
+  std::uint64_t base_matched_ = 0;  // resume baselines
   std::uint64_t base_transitions_ = 0;
-
-  std::chrono::steady_clock::time_point start_{};
 };
 
 }  // namespace
@@ -722,6 +551,8 @@ Result run_swarm(const kernel::Machine& m, const Options& opt, int threads) {
       ts.emplace_back([&, w] {
         Options o = opt;
         o.threads = 1;
+        // Each worker holds a filter and a stack of its own.
+        o.memory_budget_bytes = memory_share(opt.memory_budget_bytes, threads);
         // Worker 0 keeps the canonical order and hash functions, so the
         // sequential bitstate verdict is always among the merged ones.
         const std::uint64_t seed =

@@ -93,10 +93,6 @@ class VisitedSet {
     if (!bitstate_) set_.attach_spill(pool);
   }
 
-  std::uint64_t spill_bytes() const {
-    return bitstate_ ? 0 : set_.spill_bytes();
-  }
-
   /// Enumerates every stored key; exact mode only (bitstate stores hashes,
   /// not keys, which is why bitstate runs cannot be checkpointed).
   template <class F>
@@ -172,15 +168,6 @@ class ShardedVisitedSet {
       sh.set.attach_spill(pool);
       sh.bytes.store(sh.set.approx_bytes(), std::memory_order_relaxed);
     }
-  }
-
-  std::uint64_t spill_bytes() const {
-    std::uint64_t bytes = 0;
-    for (const Shard& sh : shards_) {
-      std::lock_guard<std::mutex> lock(sh.mu);
-      bytes += sh.set.spill_bytes();
-    }
-    return bytes;
   }
 
   /// Enumerates every stored key across all shards, taking each shard lock

@@ -120,7 +120,6 @@ std::uint32_t StateCompressor::intern_hashed(Region& r, const Value* vals,
   st.bytes.store(st.slots.capacity() * sizeof(Slot) +
                      st.store.resident_bytes(),
                  std::memory_order_relaxed);
-  st.spill_bytes.store(st.store.spill_bytes(), std::memory_order_relaxed);
   return local * static_cast<std::uint32_t>(n_stripes_) +
          static_cast<std::uint32_t>(si);
 }
@@ -254,15 +253,6 @@ void StateCompressor::attach_spill(support::SpillPool* pool) {
       st.store.attach_spill(pool);
     }
   }
-}
-
-std::uint64_t StateCompressor::spill_bytes() const {
-  std::uint64_t bytes = 0;
-  for (const Region& r : regions_)
-    for (int i = 0; i < n_stripes_; ++i)
-      bytes += r.stripes[static_cast<std::size_t>(i)].spill_bytes.load(
-          std::memory_order_relaxed);
-  return bytes;
 }
 
 }  // namespace pnp::kernel

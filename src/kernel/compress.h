@@ -71,7 +71,6 @@ class ValueArena {
   void attach_spill(support::SpillPool* pool) { spill_ = pool; }
 
   std::uint64_t resident_bytes() const { return heap_bytes_; }
-  std::uint64_t spill_bytes() const { return spill_bytes_; }
 
  private:
   static constexpr std::size_t kChunkValues = 1024;  // full chunk: ~4 KiB
@@ -83,7 +82,6 @@ class ValueArena {
         static_cast<std::size_t>(growth_.size(k)) * width_ * sizeof(Value);
     if (spill_) {
       chunks_.push_back(static_cast<Value*>(spill_->alloc(bytes)));
-      spill_bytes_ += bytes;
     } else {
       heap_.emplace_back(new Value[bytes / sizeof(Value)]);
       chunks_.push_back(heap_.back().get());
@@ -102,7 +100,6 @@ class ValueArena {
   std::vector<std::unique_ptr<Value[]>> heap_;  // owns the heap chunks
   support::SpillPool* spill_ = nullptr;         // not owned
   std::uint64_t heap_bytes_ = 0;
-  std::uint64_t spill_bytes_ = 0;
 };
 
 class StateCompressor {
@@ -174,9 +171,6 @@ class StateCompressor {
   /// under each stripe lock in concurrent mode).
   void attach_spill(support::SpillPool* pool);
 
-  /// Disk-backed share of the intern pools.
-  std::uint64_t spill_bytes() const;
-
  private:
   // One lock stripe of a region's intern table: open addressing over one
   // flat array of {local id, 32-bit fingerprint} slots (a probe touches one
@@ -194,8 +188,7 @@ class StateCompressor {
     std::vector<Slot> slots;
     ValueArena store;
     std::uint32_t count = 0;
-    std::atomic<std::uint64_t> bytes{0};        // resident footprint
-    std::atomic<std::uint64_t> spill_bytes{0};  // disk-backed footprint
+    std::atomic<std::uint64_t> bytes{0};  // resident footprint
   };
   struct Region {
     int begin = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -12,6 +11,7 @@
 
 #include "explore/collapse_keys.h"
 #include "explore/flat_store.h"
+#include "explore/governor.h"
 #include "support/hash.h"
 #include "support/panic.h"
 
@@ -27,9 +27,17 @@ using kernel::Value;
 
 using Undo = std::span<const std::pair<int, Value>>;
 
-/// The deadline, the memory budget and telemetry are consulted once per
-/// this many expansion passes (as in the sequential explorer).
-constexpr std::uint64_t kBudgetCheckStride = 1024;
+/// The product search's budgets, in the form the governor reads.
+explore::Options budget_of(const CheckOptions& opt) {
+  explore::Options o;
+  o.max_states = opt.max_states;
+  o.deadline_seconds = opt.deadline_seconds;
+  o.memory_budget_bytes = opt.memory_budget_bytes;
+  o.spill_dir = opt.spill_dir;
+  o.interrupt = opt.interrupt;
+  o.obs = opt.obs;
+  return o;
+}
 
 // Mark bits of a product-store record. The CVWY nested DFS needs two marks
 // per product state -- visited by the outer search, visited by an inner
@@ -75,30 +83,41 @@ class StreamSink final : public kernel::SuccSink {
 // compressed from the parent's region ids, explore::CollapseKeys) followed
 // by the varint q * copies + copy. Keys live in one marked flat store whose
 // per-record mark byte carries the nested DFS's marks, so the search holds
-// no per-state heap nodes and its memory is measurable.
+// no per-state heap nodes and its memory is measurable. The store and the
+// compressor's intern pools spill to disk under the memory budget like a
+// safety search's (their records and marks never move).
 class ProductSearch {
  public:
   ProductSearch(const Machine& m, const PropertyContext& ctx,
                 const BuchiAutomaton& ba, const CheckOptions& opt,
                 const codegen::Engine& engine, std::uint64_t perm_seed = 0,
-                const std::atomic<bool>* stop = nullptr)
-      : m_(m), ctx_(ctx), ba_(ba), opt_(opt), engine_(engine),
-        perm_seed_(perm_seed), stop_(stop), keys_(m.layout(), engine),
+                std::atomic<bool>* stop = nullptr)
+      : budget_(budget_of(opt)),
+        gov_(budget_, static_cast<std::uint32_t>(m.layout().size()), stop),
+        m_(m), ctx_(ctx), ba_(ba), opt_(opt), engine_(engine),
+        perm_seed_(perm_seed), keys_(m.layout(), engine),
         store_(/*marked=*/true),
         nr_(static_cast<std::size_t>(keys_.n_regions())) {
     PNP_CHECK(ctx.size() <= 64, "at most 64 propositions supported");
     PNP_CHECK(!opt.weak_fairness || m.n_processes() <= 62,
               "weak fairness supports at most 62 processes");
     n_copies_ = opt.weak_fairness ? m.n_processes() + 2 : 1;
-    if (opt.obs != nullptr) blk_ = opt.obs->recorder().open_block();
+    // A racing worker opens its counter block only when it wins (report):
+    // the race's searches overlap, so their tallies as they go would
+    // inflate the merged totals.
+    if (opt.obs != nullptr && stop == nullptr)
+      blk_ = opt.obs->recorder().open_block();
+    gov_.spill_into([this](support::SpillPool* pool) {
+      store_.attach_spill(pool);
+      keys_.compressor().attach_spill(pool);
+    });
   }
 
   /// True when the run was cancelled by the shared stop flag (a sibling
   /// worker finished first); the result is then meaningless.
-  bool aborted() const { return aborted_; }
+  bool aborted() const { return gov_.aborted(); }
 
   LtlResult run() {
-    start_ = std::chrono::steady_clock::now();
     LtlResult r;
     r.buchi_states = ba_.states.size();
     r.formula_text = ba_.formula_text;
@@ -116,33 +135,44 @@ class ProductSearch {
     r.holds = !found;
     r.stats.states_stored = n_outer_;
     r.stats.transitions = transitions_;
-    r.stats.complete = complete_;
-    r.stats.truncation = truncation_;
-    r.stats.store_bytes = store_bytes();
-    r.stats.approx_memory_bytes =
-        r.stats.store_bytes + stack_bytes() + observer_bytes();
-    r.stats.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_)
-            .count();
+    gov_.finish(r.stats, *this);
     return r;
   }
 
   /// Publishes this search's tallies and store gauges. Called by check_ltl
   /// for the authoritative search only, so racing losers never inflate the
   /// merged totals.
-  void publish_counters() {
+  void report(const explore::Stats& st) {
+    if (opt_.obs == nullptr) return;
+    if (blk_ == nullptr) blk_ = opt_.obs->recorder().open_block();
+    publish();
+    gov_.publish(st, &keys_.compressor());
+  }
+
+  // The governor's view of this search (explore/governor.h).
+  std::uint64_t stored() const { return n_outer_; }
+
+  /// Product store plus the COLLAPSE intern tables behind its keys.
+  std::uint64_t store_bytes() const {
+    return store_.approx_bytes() + keys_.compressor().approx_bytes();
+  }
+
+  /// The DFS stack. Every frame slot ever used keeps its buffers, so the
+  /// high-water mark is the footprint.
+  std::uint64_t frontier_bytes() const {
+    return stack_.size() *
+               (sizeof(Frame) + static_cast<std::uint64_t>(
+                                    m_.layout().size()) *
+                                    sizeof(Value)) +
+           frame_ids_.capacity() * sizeof(std::uint32_t);
+  }
+
+  void publish() {
     if (blk_ == nullptr) return;
     blk_->set(obs::Counter::StatesStored, n_outer_);
     blk_->set(obs::Counter::Transitions, transitions_);
     blk_->set(obs::Counter::CompressFull, keys_.full_count());
     blk_->set(obs::Counter::CompressDelta, keys_.delta_count());
-    obs::Recorder& rec = opt_.obs->recorder();
-    rec.max_gauge(obs::Gauge::StoreBytes, store_bytes());
-    rec.max_gauge(obs::Gauge::InternedComponents,
-                  keys_.compressor().components());
-    rec.max_gauge(obs::Gauge::CompressorBytes,
-                  keys_.compressor().approx_bytes());
   }
 
  private:
@@ -190,8 +220,10 @@ class ProductSearch {
     depth_ = 1;
 
     while (depth_ > 0) {
-      if (halt()) return false;
-      observe();
+      if (gov_.pass(tick_, *this)) {
+        halted_ = true;
+        return false;
+      }
       reserve_slot(depth_);  // the child slot, before frame references
       Frame& f = stack_[depth_ - 1];
       const Outcome o = f.nested ? Outcome::Exhausted
@@ -415,7 +447,7 @@ class ProductSearch {
     *marks |= bit;
     // stored, but past max_states it is never expanded
     if (++(inner ? n_inner_ : n_outer_) >= opt_.max_states) {
-      truncate(TruncationReason::MaxStates);
+      gov_.truncate(TruncationReason::MaxStates);
       return Visit::Stored;
     }
     fresh_marks_ = marks;
@@ -539,76 +571,6 @@ class ProductSearch {
     return (moved || disabled) ? copy + 1 : copy;
   }
 
-  /// Whether the search must stop now: a sibling worker won, the interrupt
-  /// flag is up, or a budget ran out. Once true it stays true.
-  bool halt() {
-    if (!halted_) halted_ = stop_requested() || interrupted() || over_budget();
-    return halted_;
-  }
-
-  bool stop_requested() {
-    if (stop_ && stop_->load(std::memory_order_relaxed)) {
-      aborted_ = true;
-      complete_ = false;
-      return true;
-    }
-    return false;
-  }
-
-  bool interrupted() {
-    if (opt_.interrupt == nullptr ||
-        !opt_.interrupt->load(std::memory_order_relaxed))
-      return false;
-    truncate(TruncationReason::Interrupted);
-    return true;
-  }
-
-  void truncate(TruncationReason why) {
-    complete_ = false;
-    if (truncation_ == TruncationReason::None) truncation_ = why;
-  }
-
-  /// Deadline / memory check, amortized: the clock and the footprint sum
-  /// are consulted every kBudgetCheckStride expansion passes.
-  bool over_budget() {
-    if (opt_.deadline_seconds <= 0.0 && opt_.memory_budget_bytes == 0)
-      return false;
-    if (++budget_tick_ % kBudgetCheckStride != 0) return false;
-    if (opt_.deadline_seconds > 0.0 &&
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_)
-                .count() >= opt_.deadline_seconds) {
-      truncate(TruncationReason::Deadline);
-      return true;
-    }
-    if (opt_.memory_budget_bytes > 0 &&
-        store_bytes() + stack_bytes() + observer_bytes() >=
-            opt_.memory_budget_bytes) {
-      truncate(TruncationReason::MemoryBudget);
-      return true;
-    }
-    return false;
-  }
-
-  /// Product store plus the COLLAPSE intern tables behind its keys.
-  std::uint64_t store_bytes() const {
-    return store_.approx_bytes() + keys_.compressor().approx_bytes();
-  }
-
-  /// Every frame slot ever used keeps its buffers, so the high-water mark
-  /// is the footprint.
-  std::uint64_t stack_bytes() const {
-    return stack_.size() *
-               (sizeof(Frame) + static_cast<std::uint64_t>(
-                                    m_.layout().size()) *
-                                    sizeof(Value)) +
-           frame_ids_.capacity() * sizeof(std::uint32_t);
-  }
-
-  std::uint64_t observer_bytes() const {
-    return opt_.obs != nullptr ? opt_.obs->approx_bytes() : 0;
-  }
-
   /// The lasso: the outer stack up to the accepting state, then the inner
   /// search's path from it and the step that closes the cycle.
   void build_violation(LtlResult& r) {
@@ -638,25 +600,14 @@ class ProductSearch {
     r.violation = std::move(v);
   }
 
-  /// Amortized telemetry every kBudgetCheckStride passes: a rate-limited
-  /// heartbeat always; counter publication only when this is the lone
-  /// search (racing workers overlap, so their intermediate tallies would
-  /// inflate the merged totals -- the winner publishes once at the end
-  /// instead, via check_ltl).
-  void observe() {
-    if (blk_ == nullptr) return;
-    if (++obs_tick_ % kBudgetCheckStride != 0) return;
-    if (stop_ == nullptr) publish_counters();
-    opt_.obs->progress(n_outer_, opt_.max_states);
-  }
-
+  const explore::Options budget_;  // the product search's budgets
+  explore::Governor gov_;  // before the stores: its spill pool outlives them
   const Machine& m_;
   const PropertyContext& ctx_;
   const BuchiAutomaton& ba_;
   const CheckOptions& opt_;
   const codegen::Engine& engine_;
   std::uint64_t perm_seed_{0};
-  const std::atomic<bool>* stop_{nullptr};
   int n_copies_{1};
 
   explore::CollapseKeys keys_;
@@ -681,14 +632,9 @@ class ProductSearch {
   std::uint64_t n_outer_ = 0;  // states visited by the outer search
   std::uint64_t n_inner_ = 0;  // states visited by inner searches
   std::uint64_t transitions_ = 0;
-  bool complete_ = true;
-  bool aborted_ = false;
+  std::uint64_t tick_ = 0;  // expansion passes, for the governor's stride
   bool halted_ = false;  // stopped early: aborted, interrupted or over budget
-  TruncationReason truncation_ = TruncationReason::None;
-  std::chrono::steady_clock::time_point start_{};
-  std::uint64_t budget_tick_ = 0;
   obs::CounterBlock* blk_ = nullptr;
-  std::uint64_t obs_tick_ = 0;
 };
 
 }  // namespace
@@ -720,19 +666,16 @@ LtlResult check_ltl(const kernel::Machine& m, FormulaPool& pool,
   if (threads <= 1) {
     ProductSearch search(m, ctx, ba, opt, *engine);
     r = search.run();
-    search.publish_counters();
+    search.report(r.stats);
   } else {
     // Racing workers over the shared read-only (machine, automaton): worker
     // 0 runs the canonical order, the rest follow independently permuted
     // DFS orders. The first to finish posts its result and cancels the
     // rest -- sound because every worker's search is exact. Each worker
-    // builds its own product store, so each gets an even share of the
-    // memory budget: the race as a whole is held to the budget, not to
-    // threads times it.
+    // builds its own product store on a share of the memory budget.
     CheckOptions wopt = opt;
-    if (opt.memory_budget_bytes > 0)
-      wopt.memory_budget_bytes = std::max<std::uint64_t>(
-          1, opt.memory_budget_bytes / static_cast<std::uint64_t>(threads));
+    wopt.memory_budget_bytes =
+        explore::memory_share(opt.memory_budget_bytes, threads);
     std::atomic<bool> stop{false};
     std::atomic<int> winner{-1};
     std::vector<std::optional<LtlResult>> results(
@@ -750,7 +693,7 @@ LtlResult check_ltl(const kernel::Machine& m, FormulaPool& pool,
         if (search.aborted()) return;
         int expected = -1;
         if (winner.compare_exchange_strong(expected, w)) {
-          search.publish_counters();  // only the authoritative search counts
+          search.report(wr.stats);  // only the authoritative search counts
           results[static_cast<std::size_t>(w)] = std::move(wr);
           stop.store(true, std::memory_order_relaxed);
         }

@@ -14,19 +14,18 @@
 
 namespace pnp::ltl {
 
-/// Budgets (max_states, deadline_seconds, memory_budget_bytes, threads)
-/// come from the shared pnp::ExecBudget base; the old field spellings
-/// remain valid as the inherited members. max_states, the deadline, the
-/// memory budget (product store + intern tables + DFS stack) and
-/// `interrupt` all stop the product search, which then reports
-/// complete = false with the matching TruncationReason. threads enables
-/// racing nested-DFS workers: each explores the same product with an
-/// independently permuted successor order and its own exact product store,
-/// so any worker that finishes is authoritative (a violation is a real
-/// lasso; a complete violation-free search proves the property). Each
-/// worker gets an even share of the memory budget. The first worker to
-/// finish wins and cancels the rest. 1 = the sequential search, 0 =
-/// hardware concurrency.
+/// Budgets come from the shared pnp::ExecBudget base, and the product
+/// search runs under the safety searches' explore::Governor: max_states,
+/// the deadline, the memory budget (product store + intern tables + DFS
+/// stack) and `interrupt` stop it with complete = false and the matching
+/// TruncationReason, and with `spill_dir` set the store and intern pools
+/// spill to disk at 80% of the memory budget and the search goes on
+/// exactly (Stats::spilled). threads enables racing nested-DFS workers,
+/// each on an even share of the memory budget: each explores the same
+/// product in an independently permuted order with its own exact store,
+/// so the first to finish is authoritative (a violation is a real lasso;
+/// a complete violation-free search proves the property) and cancels the
+/// rest. 1 = the sequential search, 0 = hardware concurrency.
 struct CheckOptions : ExecBudget {
   bool want_trace = true;
   /// Enforce weak process fairness (SPIN's -f): only consider executions

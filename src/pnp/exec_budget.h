@@ -26,10 +26,10 @@ struct ExecBudget {
   // -- durability (none of these can change a verdict, so none of them
   //    participate in config digests or cache keys) ------------------------
 
-  /// Directory for mmap'd spill files. When set, an exact search that hits
-  /// the memory budget moves its visited-key slabs and compressor intern
-  /// chunks to disk-backed storage and keeps going ("exact-spill") instead
-  /// of truncating and degrading to bitstate. Empty = never spill.
+  /// Directory for mmap'd spill files. When set, an exact safety or LTL
+  /// search near the memory budget moves its visited-key slabs and intern
+  /// chunks to disk-backed storage and keeps going ("exact-spill",
+  /// "ltl-product-spill") instead of truncating. Empty = never spill.
   std::string spill_dir;
   /// Directory for pnp.ckpt.v1 checkpoint snapshots. Empty = no
   /// checkpointing.

@@ -407,7 +407,7 @@ RunReport Session::verify_machine(const kernel::Machine& m,
       c.kind = "ltl";
       c.label = formula;
       c.passed = lo.passed();
-      c.stage = "ltl-product";
+      c.stage = lo.stage(red.has_value());
       c.states_stored = lo.result.stats.states_stored;
       c.seconds = lo.result.stats.seconds;
       c.detail = lo.report();

@@ -266,6 +266,11 @@ SafetyOutcome check_invariant(const kernel::Machine& m, expr::Ex invariant,
   return out;
 }
 
+std::string LtlOutcome::stage(bool minimized) const {
+  return std::string(minimized ? "minimized-" : "") + "ltl-product" +
+         (result.stats.spilled ? "-spill" : "");
+}
+
 std::string LtlOutcome::report() const {
   std::ostringstream os;
   os << "[" << (passed() ? "PASS" : "FAIL") << "] LTL: " << result.formula_text
@@ -440,8 +445,11 @@ ObligationResult from_safety(const reduce::ObligationKey& key,
   r.detail = so.report();
   r.engine = codegen::engine_kind_name(so.engine_actual);
   r.engine_note = so.engine_note;
-  cache.record(key, {"", key.kind, key.label, r.passed, r.stage,
-                     r.states_stored, r.seconds});
+  // Only a conclusive verdict is reused: a violation, or a pass whose exact
+  // search completed (a truncated or bitstate pass proves nothing).
+  if (!r.passed || so.result.stats.complete)
+    cache.record(key, {"", key.kind, key.label, r.passed, r.stage,
+                       r.states_stored, r.seconds});
   return r;
 }
 
@@ -656,11 +664,9 @@ SuiteReport verify_obligations(const Architecture& arch,
     // strong bisimulation when minimization is requested.
     std::optional<reduce::ReducedMachine> strong;
     const kernel::Machine* lm = &m;
-    std::string stage = "ltl-nested-dfs";
     if (opts.verify.minimize != MinimizeMode::Off) {
       strong.emplace(m, reduce::Equivalence::Strong);
       lm = &strong->machine();
-      stage = "minimized-ltl-nested-dfs";
     }
     ltl::CheckOptions copt;
     static_cast<ExecBudget&>(copt) = static_cast<const ExecBudget&>(opts.verify);
@@ -683,14 +689,15 @@ SuiteReport verify_obligations(const Architecture& arch,
       r.label = key.label;
       r.digest = key.digest();
       r.passed = lo.passed();
-      r.stage = stage;
+      r.stage = lo.stage(strong.has_value());
       r.states_stored = lo.result.stats.states_stored;
       r.seconds = lo.result.stats.seconds;
       r.detail = lo.report();
       r.engine = codegen::engine_kind_name(lo.result.engine_actual);
       r.engine_note = lo.result.engine_note;
-      cache.record(key, {"", key.kind, key.label, r.passed, r.stage,
-                         r.states_stored, r.seconds});
+      if (!r.passed || lo.result.stats.complete)
+        cache.record(key, {"", key.kind, key.label, r.passed, r.stage,
+                           r.states_stored, r.seconds});
       rep.obligations.push_back(std::move(r));
     }
   }

@@ -156,6 +156,10 @@ struct LtlOutcome {
   ltl::LtlResult result;
 
   bool passed() const { return result.holds; }
+  /// The stage that answered, `[minimized-]ltl-product[-spill]`: the
+  /// product search, on the strong quotient when `minimized`, whose stores
+  /// went to disk when it spilled.
+  std::string stage(bool minimized) const;
   std::string report() const;
 };
 

@@ -24,9 +24,12 @@
 #include "explore/checkpoint.h"
 #include "explore/explorer.h"
 #include "explore/flat_store.h"
+#include "ltl/product.h"
 #include "obs/obs.h"
 #include "pnp/session.h"
+#include "pnp/verifier.h"
 #include "reduce/cache.h"
+#include "rpc_model.h"
 #include "support/hash.h"
 #include "support/panic.h"
 #include "support/spill.h"
@@ -257,6 +260,26 @@ TEST(Spill, VerifierReportsExactSpillStage) {
   EXPECT_EQ(out.stages[0].name, "exact-spill");
   EXPECT_TRUE(out.result.stats.complete);
   EXPECT_TRUE(out.result.stats.spilled);
+}
+
+/// The LTL product search spills like a safety search: the fair RPC
+/// product under 1 MiB, a sixth of its footprint, completes exactly on
+/// disk-backed stores where without a spill directory it truncates.
+TEST(Spill, LtlProductCompletesExactly) {
+  const auto rpc = fixtures::rpc_model(/*optimized=*/true);
+  TempDir dir;
+  ltl::CheckOptions o = ltl::fair();
+  o.memory_budget_bytes = std::uint64_t{1} << 20;
+  o.spill_dir = dir.str();
+  const LtlOutcome out{
+      ltl::check_ltl(*rpc->m, rpc->gen.props(), "F c0_done", o)};
+  EXPECT_TRUE(out.passed());
+  EXPECT_TRUE(out.result.stats.complete);
+  EXPECT_EQ(out.result.stats.truncation, explore::TruncationReason::None);
+  EXPECT_EQ(out.result.stats.states_stored, 128'609u);
+  EXPECT_TRUE(out.result.stats.spilled);
+  EXPECT_GT(out.result.stats.spill_bytes, 0u);
+  EXPECT_EQ(out.stage(/*minimized=*/false), "ltl-product-spill");
 }
 
 // -- checkpoint format --------------------------------------------------------

@@ -2,13 +2,20 @@
 // the same verdict as the sequential one at every thread count, and -- for
 // complete exact runs -- the same reached-state count, across the deadlock,
 // invariant, and LTL suites. Trail contents may differ; verdicts may not.
+// Budget.* crosses every budget with every search mode, sequential,
+// parallel, swarm and LTL alike.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <iterator>
+#include <string>
 
 #include "adl/adl.h"
 #include "explore/explorer.h"
 #include "kernel/machine.h"
 #include "ltl/product.h"
 #include "model/builder.h"
+#include "pml/parser.h"
 #include "pnp/pnp.h"
 
 namespace pnp::explore {
@@ -380,6 +387,142 @@ TEST(Swarm, SeededWorkersArePinned) {
     };
     EXPECT_FALSE(same(0, 1) && same(1, 2))
         << what << ": every worker searched in the same order";
+  }
+}
+
+TEST(Swarm, WorkersShareTheMemoryBudget) {
+  // Each swarm worker holds a filter of its own, so each is held to an even
+  // share of the memory budget, as racing LTL workers are.
+  const Flow f = make_flow(3, 2, 0);  // 23,364 states
+  const kernel::Machine m = f.machine();
+  Options opt;
+  opt.invariant = f.invariant;
+  opt.bitstate = true;
+  opt.memory_budget_bytes = std::uint64_t{3} << 19;  // 1.5 MiB
+  // Either 1 MiB filter fits the budget, the two together do not.
+  opt.bitstate_bytes = std::uint64_t{1} << 20;
+  const Result over = explore_at(m, opt, 2);
+  EXPECT_FALSE(over.stats.complete);
+  EXPECT_EQ(over.stats.truncation, TruncationReason::MemoryBudget);
+  // Two 256 KiB filters fit their 768 KiB shares.
+  opt.bitstate_bytes = std::uint64_t{1} << 18;
+  const Result fits = explore_at(m, opt, 2);
+  EXPECT_TRUE(fits.ok());
+  EXPECT_EQ(fits.stats.truncation, TruncationReason::BitstateApprox);
+  EXPECT_LE(fits.stats.approx_memory_bytes, opt.memory_budget_bytes);
+}
+
+// -- every budget against every search mode -----------------------------------
+
+// Two relay pipelines of three messages each racing into a shared tally:
+// 134,689 states, 10,212 under partial-order reduction -- large enough that
+// a 1 us deadline trips at the first budget check (pass 1024).
+constexpr const char* kRelayMesh = R"(
+chan a1 = [3] of { byte };
+chan a2 = [3] of { byte };
+chan b1 = [3] of { byte };
+chan b2 = [3] of { byte };
+byte tally;
+active proctype SourceA() {
+  byte i = 0;
+  do :: i < 3 -> a1!i; i++ :: i >= 3 -> break od
+}
+active proctype RelayA() { byte v; end: do :: a1?v -> a2!v od }
+active proctype SinkA() {
+  byte v; byte expect = 0;
+  do
+  :: expect < 3 -> a2?v; assert(v == expect); expect++; tally++
+  :: expect >= 3 -> break
+  od
+}
+active proctype SourceB() {
+  byte i = 0;
+  do :: i < 3 -> b1!i; i++ :: i >= 3 -> break od
+}
+active proctype RelayB() { byte v; end: do :: b1?v -> b2!v od }
+active proctype SinkB() {
+  byte v; byte expect = 0;
+  do
+  :: expect < 3 -> b2?v; assert(v == expect); expect++; tally++
+  :: expect >= 3 -> break
+  od
+}
+)";
+
+TEST(Budget, EveryModeStopsWithItsReason) {
+  model::SystemSpec sys = pml::parse(kRelayMesh);
+  const expr::Ref low = pml::parse_global_expr(sys, "tally <= 10");
+  const kernel::Machine m(sys);
+  ltl::PropertyContext props;
+  props.add("low", low);
+
+  struct Mode {
+    const char* name;
+    bool bfs, por, bitstate;
+    int threads;
+    int ltl;          // 0: safety, 1: G low, 2: G low under weak fairness
+    std::size_t ref;  // the mode whose unbounded run bounds this one
+  };
+  const Mode modes[] = {
+      {"dfs", false, false, false, 1, 0, 0},
+      {"bfs", true, false, false, 1, 0, 0},
+      {"dfs+por", false, true, false, 1, 0, 2},
+      {"bfs+por", true, true, false, 1, 0, 3},
+      {"2-thread exact", false, false, false, 2, 0, 0},
+      // parallel POR takes the BFS (proviso-free) ample sets
+      {"2-thread exact+por", false, true, false, 2, 0, 3},
+      {"bitstate", false, false, true, 1, 0, 0},
+      {"2-worker swarm", false, false, true, 2, 0, 0},
+      {"ltl", false, false, false, 1, 1, 8},
+      {"fair ltl", false, false, false, 1, 2, 9},
+      {"2-worker racing ltl", false, false, false, 2, 1, 8},
+  };
+  auto run = [&](const Mode& md, const ExecBudget& b) {
+    if (md.ltl != 0) {
+      ltl::CheckOptions o;
+      static_cast<ExecBudget&>(o) = b;
+      o.threads = md.threads;
+      o.weak_fairness = md.ltl == 2;
+      return ltl::check_ltl(m, props, "G low", o).stats;
+    }
+    Options o;
+    o.invariant = low;
+    o.max_states = b.max_states;
+    o.deadline_seconds = b.deadline_seconds;
+    o.memory_budget_bytes = b.memory_budget_bytes;
+    o.interrupt = b.interrupt;
+    o.bfs = md.bfs;
+    o.por = md.por;
+    o.bitstate = md.bitstate;
+    o.threads = md.threads;
+    return explore(m, o).stats;
+  };
+  std::uint64_t unbounded[std::size(modes)] = {};
+  for (std::size_t i = 0; i < std::size(modes); ++i)
+    if (modes[i].ref == i) unbounded[i] = run(modes[i], {}).states_stored;
+
+  const std::atomic<bool> interrupt{true};
+  struct Cell {
+    const char* name;
+    TruncationReason why;
+    ExecBudget budget;
+  };
+  Cell cells[4] = {{"max-states", TruncationReason::MaxStates, {}},
+                   {"deadline", TruncationReason::Deadline, {}},
+                   {"memory", TruncationReason::MemoryBudget, {}},
+                   {"interrupt", TruncationReason::Interrupted, {}}};
+  cells[0].budget.max_states = 1'000;
+  cells[1].budget.deadline_seconds = 1e-6;
+  cells[2].budget.memory_budget_bytes = std::uint64_t{64} << 10;
+  cells[3].budget.interrupt = &interrupt;
+  for (const Mode& md : modes) {
+    for (const Cell& c : cells) {
+      const Stats st = run(md, c.budget);
+      const std::string what = std::string(md.name) + " under " + c.name;
+      EXPECT_FALSE(st.complete) << what;
+      EXPECT_EQ(st.truncation, c.why) << what;
+      EXPECT_LT(st.states_stored * 3, unbounded[md.ref]) << what;
+    }
   }
 }
 

@@ -518,6 +518,36 @@ TEST(Cache, OptionsChangeMissesCache) {
   EXPECT_EQ(rerun.cache_hits(), 0);
 }
 
+TEST(Cache, InconclusivePassIsNotCached) {
+  CacheDir dir("pnp_test_cache_inconclusive");
+  Architecture arch = rpc();
+  // A violation and complete exact passes are conclusive: a repeat run
+  // answers every obligation from the cache.
+  SuiteOptions conclusive = rpc_suite(dir.path());
+  conclusive.invariant_text = "c0_done == 0";  // client 0 finishes
+  const SuiteReport failed = verify_obligations(arch, conclusive);
+  ASSERT_FALSE(failed.all_passed()) << failed.report();
+  const SuiteReport replay = verify_obligations(arch, conclusive);
+  EXPECT_EQ(replay.recomputed(), 0) << replay.report();
+  // Passes of searches truncated at 20 states prove nothing (the bitstate
+  // rung answered them): a repeat run verifies them again.
+  SuiteOptions truncated = rpc_suite(dir.path());
+  truncated.verify.max_states = 20;
+  const SuiteReport cut = verify_obligations(arch, truncated);
+  const SuiteReport again = verify_obligations(arch, truncated);
+  ASSERT_EQ(again.obligations.size(), cut.obligations.size());
+  int inconclusive = 0;
+  for (std::size_t i = 0; i < cut.obligations.size(); ++i) {
+    const ObligationResult& o = cut.obligations[i];
+    const bool proven =
+        !o.passed || o.stage.find("bitstate") == std::string::npos;
+    inconclusive += proven ? 0 : 1;
+    EXPECT_EQ(again.obligations[i].from_cache, proven)
+        << o.kind << " " << o.label << " " << o.stage;
+  }
+  EXPECT_GT(inconclusive, 0) << cut.report();
+}
+
 TEST(Cache, DisabledCacheStillVerifiesEverything) {
   Architecture arch = rpc();
   SuiteOptions opts = rpc_suite("");

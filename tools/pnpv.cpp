@@ -239,8 +239,9 @@ const FlagDef kFlags[] = {
      [](Args& a, const std::string& v) { a.cfg.cache_dir = v; }},
     {"spill-dir", "PNPV_SPILL_DIR", "DIR", nullptr,
      "back the visited/intern stores with mmap'd files under DIR when the "
-     "--memory budget is hit: the search stays exact (stage 'exact-spill') "
-     "instead of truncating and degrading to bitstate",
+     "--memory budget is hit: safety and LTL searches stay exact (stages "
+     "'exact-spill', 'ltl-product-spill') instead of truncating and "
+     "degrading to bitstate",
      [](Args& a, const std::string& v) { a.cfg.spill_dir = v; }},
     {"checkpoint-dir", "PNPV_CHECKPOINT_DIR", "DIR", nullptr,
      "write atomically-committed pnp.ckpt.v1 snapshots under DIR: a final "
