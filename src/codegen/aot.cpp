@@ -445,8 +445,9 @@ std::string describe_engines(const std::string& cache_dir) {
   const bool have_cxx = null_fd.get() >= 0 &&
                         run_all({{cxx, "--version"}}, null_fd.get()).empty();
   std::string out = "successor engines:\n";
-  out += "  interp    always available (the historical interpreter)\n";
-  out += "  bytecode  always available (threaded-bytecode interpreter)\n";
+  out += "  bytecode  always available (threaded-bytecode interpreter; "
+         "the front-end default)\n";
+  out += "  interp    always available (the reference interpreter)\n";
   out += std::string("  aot       ") +
          (have_cxx ? "available (host toolchain found)"
                    : "unavailable on this host (falls back to bytecode)") +

@@ -8,7 +8,8 @@
 //     the interpreter's candidate order;
 //   * spawn parameters and SelfPid folded into the code, which folds
 //     channel-id expressions -- and so channel base/capacity/arity/lossy
-//     and rendezvous partner sets -- to compile-time constants;
+//     and rendezvous partner sets (rendezvous.h, the index the bytecode
+//     engine walks at run time) -- to compile-time constants;
 //   * expressions emitted as native C++ (short-circuit && / || match the
 //     tree-walker; Div/Mod pin divisor-first evaluation and keep the
 //     runtime trap);
@@ -39,6 +40,7 @@
 
 #include "codegen/aot_abi.h"
 #include "codegen/fold.h"
+#include "codegen/rendezvous.h"
 #include "compile/compiler.h"
 
 namespace pnp::codegen {
@@ -402,7 +404,7 @@ std::vector<std::size_t> pack_units(const std::vector<std::string>& fns,
 class Emitter {
  public:
   Emitter(const kernel::Machine& m, const std::string& digest)
-      : m_(m), sys_(m.spec()), lay_(m.layout()), digest_(digest) {
+      : m_(m), sys_(m.spec()), lay_(m.layout()), digest_(digest), rx_(m) {
     const std::size_t n_chans = sys_.channels.size();
     chans_.reserve(n_chans);
     for (std::size_t c = 0; c < n_chans; ++c) {
@@ -677,7 +679,7 @@ class Emitter {
                        const ChanStatic& ch) {
     const CompiledProc& cp = m_.proc_of(pid);
     const bool at = cp.atomic_at[static_cast<std::size_t>(t.dst)];
-    for (int pid2 = 0; pid2 < m_.n_processes(); ++pid2) {
+    for (const int pid2 : rx_.receivers(chan)) {
       if (pid2 == pid) continue;
       const CompiledProc& cp2 = m_.proc_of(pid2);
       const CxxExpr& ex2 = ex_[static_cast<std::size_t>(pid2)];
@@ -685,9 +687,8 @@ class Emitter {
       bool opened = false;
       for (int pc2 = 0; pc2 < cp2.n_pcs; ++pc2) {
         std::vector<int> hits;
-        for (int ti2 : cp2.out[static_cast<std::size_t>(pc2)]) {
+        for (const int ti2 : rx_.receives(pid2, pc2)) {
           const Transition& t2 = cp2.trans[static_cast<std::size_t>(ti2)];
-          if (t2.op != OpKind::Recv) continue;
           const auto id2 = ex2.fold(t2.chan);
           if (!id2)
             throw Unsupported{"recv with state-dependent channel id"};
@@ -963,6 +964,7 @@ class Emitter {
   const model::SystemSpec& sys_;
   const kernel::Layout& lay_;
   std::string digest_;
+  RendezvousIndex rx_;
   std::vector<ChanStatic> chans_;
   std::vector<CxxExpr> ex_;
   std::string out_;

@@ -7,7 +7,9 @@
 //   * guard / rhs / field / match expressions become flat stack programs
 //     over ABSOLUTE state-vector slots (no spans, no per-eval bounds
 //     checks, no recursion), dispatched with computed goto where available;
-//   * Lhs targets, pc slots and crash-budget slots become absolute slots.
+//   * Lhs targets, pc slots and crash-budget slots become absolute slots;
+//   * a rendezvous send walks the static partner index (rendezvous.h)
+//     instead of scanning every process for a receive on its channel.
 //
 // The transition-level driver (BcGen) mirrors kernel/successor.cpp's
 // SuccGen line for line -- same candidate order, same undo-log entries in
@@ -17,10 +19,12 @@
 #include "codegen/bytecode.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "codegen/fold.h"
+#include "codegen/rendezvous.h"
 #include "compile/compiler.h"
 #include "support/hash.h"
 #include "support/panic.h"
@@ -71,12 +75,12 @@ struct Instr {
   std::int32_t b{0};
 };
 
+/// A compiled expression: a constant, or a program in the engine's code
+/// pool (BcTables::code), whose jump targets are relative to its start.
 struct ExprProg {
-  std::vector<Instr> code;
+  std::int32_t code{-1};  // start in the code pool; -1 for a constant
   bool is_const{false};
   Value const_val{0};
-
-  bool empty() const { return !is_const && code.empty(); }
 };
 
 struct ChanInfo {
@@ -203,17 +207,20 @@ Value vm_run(const Instr* ip, const Value* mem, const ChanInfo* chans) {
 #endif
 }
 
-/// Lowers one pid's expressions: absolute slots, folded params/SelfPid.
+/// Lowers one pid's expressions into the engine's code pool: absolute
+/// slots, folded params/SelfPid. One pool per engine keeps the build to a
+/// handful of allocations -- every obligation and fault variant builds one.
 class ExprCompiler {
  public:
   ExprCompiler(const expr::Pool& pool, std::span<const Value> params,
                Value self_pid, int locals_base,
-               const std::vector<ChanInfo>& chans)
+               const std::vector<ChanInfo>& chans, std::vector<Instr>& code)
       : pool_(pool),
         params_(params),
         self_(self_pid),
         locals_base_(locals_base),
-        chans_(chans) {}
+        chans_(chans),
+        code_(code) {}
 
   ExprProg compile(expr::Ref r) {
     ExprProg p;
@@ -225,10 +232,12 @@ class ExprCompiler {
     }
     depth_ = 0;
     max_depth_ = 0;
-    emit(r, p.code);
-    p.code.push_back({BOp::Ret, 0, 0});
+    start_ = code_.size();
+    emit(r);
+    code_.push_back({BOp::Ret, 0, 0});
     PNP_CHECK(max_depth_ <= kStackMax,
               "model expression nests deeper than the bytecode value stack");
+    p.code = static_cast<std::int32_t>(start_);
     return p;
   }
 
@@ -243,9 +252,14 @@ class ExprCompiler {
     max_depth_ = std::max(max_depth_, depth_);
   }
 
-  void emit(expr::Ref r, std::vector<Instr>& out) {
+  /// The next instruction's offset from the current program's start.
+  std::int32_t here() const {
+    return static_cast<std::int32_t>(code_.size() - start_);
+  }
+
+  void emit(expr::Ref r) {
     if (auto c = fold_const(pool_, r, params_, self_)) {
-      out.push_back({BOp::PushC, *c, 0});
+      code_.push_back({BOp::PushC, *c, 0});
       push_depth();
       return;
     }
@@ -256,12 +270,12 @@ class ExprCompiler {
       case Op::SelfPid:
         return;  // unreachable: always folds
       case Op::Global:
-        out.push_back({BOp::Load, n.imm, 0});
+        code_.push_back({BOp::Load, n.imm, 0});
         push_depth();
         return;
       case Op::Local: {
         // slot < params.size() always folded above; what's left is mutable
-        out.push_back(
+        code_.push_back(
             {BOp::Load,
              locals_base_ + n.imm - static_cast<std::int32_t>(params_.size()),
              0});
@@ -269,18 +283,18 @@ class ExprCompiler {
         return;
       }
       case Op::Neg:
-        emit(n.a, out);
-        out.push_back({BOp::Neg, 0, 0});
+        emit(n.a);
+        code_.push_back({BOp::Neg, 0, 0});
         return;
       case Op::Not:
-        emit(n.a, out);
-        out.push_back({BOp::Not, 0, 0});
+        emit(n.a);
+        code_.push_back({BOp::Not, 0, 0});
         return;
       case Op::Add: case Op::Sub: case Op::Mul:
       case Op::Eq: case Op::Ne: case Op::Lt:
       case Op::Le: case Op::Gt: case Op::Ge: {
-        emit(n.a, out);
-        emit(n.b, out);
+        emit(n.a);
+        emit(n.b);
         BOp op = BOp::Add;
         switch (n.op) {
           case Op::Add: op = BOp::Add; break;
@@ -293,7 +307,7 @@ class ExprCompiler {
           case Op::Gt: op = BOp::Gt; break;
           default: op = BOp::Ge; break;
         }
-        out.push_back({op, 0, 0});
+        code_.push_back({op, 0, 0});
         --depth_;
         return;
       }
@@ -301,43 +315,43 @@ class ExprCompiler {
       case Op::Mod:
         // divisor first, then dividend: the tree interpreter evaluates and
         // checks the divisor before touching the dividend
-        emit(n.b, out);
-        emit(n.a, out);
-        out.push_back({n.op == Op::Div ? BOp::Div : BOp::Mod, 0, 0});
+        emit(n.b);
+        emit(n.a);
+        code_.push_back({n.op == Op::Div ? BOp::Div : BOp::Mod, 0, 0});
         --depth_;
         return;
       case Op::And: {
-        emit(n.a, out);
-        const std::size_t jz = out.size();
-        out.push_back({BOp::AndJz, 0, 0});
+        emit(n.a);
+        const std::size_t jz = code_.size();
+        code_.push_back({BOp::AndJz, 0, 0});
         --depth_;
-        emit(n.b, out);
-        out.push_back({BOp::BoolOp, 0, 0});
-        out[jz].a = static_cast<std::int32_t>(out.size());
+        emit(n.b);
+        code_.push_back({BOp::BoolOp, 0, 0});
+        code_[jz].a = here();
         return;
       }
       case Op::Or: {
-        emit(n.a, out);
-        const std::size_t jnz = out.size();
-        out.push_back({BOp::OrJnz, 0, 0});
+        emit(n.a);
+        const std::size_t jnz = code_.size();
+        code_.push_back({BOp::OrJnz, 0, 0});
         --depth_;
-        emit(n.b, out);
-        out.push_back({BOp::BoolOp, 0, 0});
-        out[jnz].a = static_cast<std::int32_t>(out.size());
+        emit(n.b);
+        code_.push_back({BOp::BoolOp, 0, 0});
+        code_[jnz].a = here();
         return;
       }
       case Op::Cond: {
-        emit(n.a, out);
-        const std::size_t jz = out.size();
-        out.push_back({BOp::JzPop, 0, 0});
+        emit(n.a);
+        const std::size_t jz = code_.size();
+        code_.push_back({BOp::JzPop, 0, 0});
         --depth_;
-        emit(n.b, out);
-        const std::size_t jmp = out.size();
-        out.push_back({BOp::Jmp, 0, 0});
-        out[jz].a = static_cast<std::int32_t>(out.size());
+        emit(n.b);
+        const std::size_t jmp = code_.size();
+        code_.push_back({BOp::Jmp, 0, 0});
+        code_[jz].a = here();
         --depth_;  // only one branch's value is live at runtime
-        emit(n.c, out);
-        out[jmp].a = static_cast<std::int32_t>(out.size());
+        emit(n.c);
+        code_[jmp].a = here();
         return;
       }
       case Op::ChanLen:
@@ -350,22 +364,23 @@ class ExprCompiler {
           const ChanInfo& ch = chans_[static_cast<std::size_t>(*c)];
           if (ch.base < 0) {
             // rendezvous: len 0, full (0 >= 0), empty -- all constants
-            out.push_back({BOp::PushC, n.op == Op::ChanLen ? 0 : 1, 0});
+            code_.push_back({BOp::PushC, n.op == Op::ChanLen ? 0 : 1, 0});
           } else if (n.op == Op::ChanLen) {
-            out.push_back({BOp::LenC, ch.base, 0});
+            code_.push_back({BOp::LenC, ch.base, 0});
           } else if (n.op == Op::ChanFull) {
-            out.push_back({BOp::FullC, ch.base, ch.capacity});
+            code_.push_back({BOp::FullC, ch.base, ch.capacity});
           } else {
-            out.push_back({BOp::EmptyC, ch.base, 0});
+            code_.push_back({BOp::EmptyC, ch.base, 0});
           }
           push_depth();
           return;
         }
-        emit(n.a, out);
-        out.push_back({n.op == Op::ChanLen
-                           ? BOp::LenD
-                           : (n.op == Op::ChanFull ? BOp::FullD : BOp::EmptyD),
-                       0, 0});
+        emit(n.a);
+        code_.push_back({n.op == Op::ChanLen
+                             ? BOp::LenD
+                             : (n.op == Op::ChanFull ? BOp::FullD
+                                                     : BOp::EmptyD),
+                         0, 0});
         return;
       }
     }
@@ -376,6 +391,8 @@ class ExprCompiler {
   Value self_;
   int locals_base_;
   const std::vector<ChanInfo>& chans_;
+  std::vector<Instr>& code_;
+  std::size_t start_{0};  // the current program's start in code_
   int depth_{0};
   int max_depth_{0};
 };
@@ -398,8 +415,10 @@ struct BcTrans {
   int lhs_abs{-1};     // Assign target
   int chan_const{-1};  // resolved channel id, or -1 when dynamic
   ExprProg chan_prog;
-  std::vector<ExprProg> fields;
-  std::vector<BcRecvArg> args;
+  int fields{0};       // send: first field program in BcTables::fields
+  int n_fields{0};
+  int args{0};         // recv: first pattern in BcTables::args
+  int n_args{0};
   bool sorted{false};
   bool random{false};
   bool copy{false};
@@ -413,14 +432,25 @@ struct BcPid {
   int pc_slot{0};
   int frame_base{0};  // absolute slot of mutable local 0
   int n_params{0};
-  std::vector<BcTrans> trans;  // index-aligned with cp->trans
+  int trans{0};  // first transition in BcTables::trans (cp->trans order)
 };
 
+/// One engine's tables. Per-transition parts live in shared pools, indexed
+/// from BcPid / BcTrans, so a build allocates a handful of vectors rather
+/// than a few per transition.
 struct BcTables {
-  const model::SystemSpec* spec{nullptr};
-  const Layout* lay{nullptr};
+  explicit BcTables(const kernel::Machine& m)
+      : spec(&m.spec()), lay(&m.layout()), rendezvous(m) {}
+
+  const model::SystemSpec* spec;
+  const Layout* lay;
   std::vector<BcPid> pids;
+  std::vector<BcTrans> trans;
+  std::vector<ExprProg> fields;
+  std::vector<BcRecvArg> args;
+  std::vector<Instr> code;
   std::vector<ChanInfo> chans;
+  RendezvousIndex rendezvous;
 };
 
 int resolve_lhs(const model::Lhs& lhs, const Layout& lay, int pid) {
@@ -431,9 +461,7 @@ int resolve_lhs(const model::Lhs& lhs, const Layout& lay, int pid) {
 BcTables build_tables(const kernel::Machine& m) {
   const model::SystemSpec& sys = m.spec();
   const Layout& lay = m.layout();
-  BcTables tb;
-  tb.spec = &sys;
-  tb.lay = &lay;
+  BcTables tb(m);
 
   tb.chans.reserve(sys.channels.size());
   for (std::size_t c = 0; c < sys.channels.size(); ++c) {
@@ -446,7 +474,21 @@ BcTables build_tables(const kernel::Machine& m) {
     tb.chans.push_back(info);
   }
 
+  std::size_t n_trans = 0, n_fields = 0, n_args = 0;
+  for (int pid = 0; pid < m.n_processes(); ++pid) {
+    const CompiledProc& cp = m.proc_of(pid);
+    n_trans += cp.trans.size();
+    for (const Transition& t : cp.trans) {
+      n_fields += t.fields.size();
+      n_args += t.args.size();
+    }
+  }
   tb.pids.reserve(sys.processes.size());
+  tb.trans.reserve(n_trans);
+  tb.fields.reserve(n_fields);
+  tb.args.reserve(n_args);
+  tb.code.reserve(4 * n_trans);
+
   for (int pid = 0; pid < m.n_processes(); ++pid) {
     const CompiledProc& cp = m.proc_of(pid);
     const std::vector<Value>& args = sys.processes[static_cast<std::size_t>(pid)].args;
@@ -455,10 +497,10 @@ BcTables build_tables(const kernel::Machine& m) {
     P.pc_slot = lay.pc_slot(pid);
     P.frame_base = P.pc_slot + 1;
     P.n_params = cp.n_params;
+    P.trans = static_cast<int>(tb.trans.size());
     ExprCompiler ec(sys.exprs, {args.data(), args.size()},
-                    static_cast<Value>(pid), P.frame_base, tb.chans);
+                    static_cast<Value>(pid), P.frame_base, tb.chans, tb.code);
 
-    P.trans.reserve(cp.trans.size());
     for (const Transition& t : cp.trans) {
       BcTrans bt;
       bt.op = t.op;
@@ -494,13 +536,15 @@ BcTables build_tables(const kernel::Machine& m) {
           }
           if (t.op == OpKind::Send) {
             bt.sorted = t.sorted;
-            bt.fields.reserve(t.fields.size());
-            for (expr::Ref f : t.fields) bt.fields.push_back(ec.compile(f));
+            bt.fields = static_cast<int>(tb.fields.size());
+            bt.n_fields = static_cast<int>(t.fields.size());
+            for (expr::Ref f : t.fields) tb.fields.push_back(ec.compile(f));
           } else {
             bt.random = t.random;
             bt.copy = t.copy;
             bt.unordered = t.unordered;
-            bt.args.reserve(t.args.size());
+            bt.args = static_cast<int>(tb.args.size());
+            bt.n_args = static_cast<int>(t.args.size());
             for (const model::RecvArg& a : t.args) {
               BcRecvArg ba;
               ba.kind = a.kind;
@@ -508,15 +552,15 @@ BcTables build_tables(const kernel::Machine& m) {
                 ba.abs_slot = resolve_lhs(a.lhs, lay, pid);
               else if (a.kind == RecvArgKind::Match)
                 ba.match = ec.compile(a.match);
-              bt.args.push_back(std::move(ba));
+              tb.args.push_back(ba);
             }
           }
           break;
         }
       }
-      P.trans.push_back(std::move(bt));
+      tb.trans.push_back(bt);
     }
-    tb.pids.push_back(std::move(P));
+    tb.pids.push_back(P);
   }
   return tb;
 }
@@ -545,7 +589,7 @@ class BcGen {
     int else_ti = -1;
     for (int ti : cands) {
       if (stopped_) return any;
-      const BcTrans& t = P.trans[static_cast<std::size_t>(ti)];
+      const BcTrans& t = trans_of(P, ti);
       if (t.op == OpKind::Else) {
         else_ti = ti;
         continue;
@@ -556,7 +600,7 @@ class BcGen {
       }
     }
     if (!stopped_ && !any_program && else_ti >= 0) {
-      finish_mut(pid, P, P.trans[static_cast<std::size_t>(else_ti)]);
+      finish_mut(pid, P, trans_of(P, else_ti));
       emit(pid, else_ti);
       any = true;
     }
@@ -574,7 +618,18 @@ class BcGen {
  private:
   Value eval(const ExprProg& p) const {
     if (p.is_const) return p.const_val;
-    return vm_run(p.code.data(), s_.mem.data(), tb_.chans.data());
+    return vm_run(tb_.code.data() + p.code, s_.mem.data(), tb_.chans.data());
+  }
+
+  const BcTrans& trans_of(const BcPid& P, int ti) const {
+    return tb_.trans[static_cast<std::size_t>(P.trans + ti)];
+  }
+  std::span<const ExprProg> fields_of(const BcTrans& t) const {
+    return {tb_.fields.data() + t.fields,
+            static_cast<std::size_t>(t.n_fields)};
+  }
+  std::span<const BcRecvArg> args_of(const BcTrans& t) const {
+    return {tb_.args.data() + t.args, static_cast<std::size_t>(t.n_args)};
   }
 
   State& ns() { return scratch_.state; }
@@ -635,7 +690,7 @@ class BcGen {
     return keep_going;
   }
 
-  bool match_pattern(const std::vector<BcRecvArg>& args,
+  bool match_pattern(std::span<const BcRecvArg> args,
                      const Value* fields) const {
     for (std::size_t i = 0; i < args.size(); ++i) {
       if (args[i].kind == RecvArgKind::Match &&
@@ -645,7 +700,7 @@ class BcGen {
     return true;
   }
 
-  void bind_pattern(const std::vector<BcRecvArg>& args, const Value* fields) {
+  void bind_pattern(std::span<const BcRecvArg> args, const Value* fields) {
     for (std::size_t i = 0; i < args.size(); ++i)
       if (args[i].kind == RecvArgKind::Bind)
         mut_slot(args[i].abs_slot, fields[i]);
@@ -712,13 +767,14 @@ class BcGen {
     const int chan = resolve_chan(t);
     const ChanInfo& ch = tb_.chans[static_cast<std::size_t>(chan)];
     const int arity = ch.arity;
-    PNP_CHECK(static_cast<int>(t.fields.size()) == arity,
+    PNP_CHECK(t.n_fields == arity,
               "send arity mismatch on channel " +
                   tb_.spec->channels[static_cast<std::size_t>(chan)].name);
     Value fields[16];
     PNP_CHECK(arity <= 16, "channel arity > 16 unsupported");
+    const std::span<const ExprProg> progs = fields_of(t);
     for (int i = 0; i < arity; ++i)
-      fields[i] = eval(t.fields[static_cast<std::size_t>(i)]);
+      fields[i] = eval(progs[static_cast<std::size_t>(i)]);
 
     if (ch.capacity == 0) return exec_rendezvous(pid, P, ti, t, chan, fields, arity);
 
@@ -742,20 +798,19 @@ class BcGen {
   bool exec_rendezvous(int pid, const BcPid& P, int ti, const BcTrans& t,
                        int chan, const Value* fields, int arity) {
     bool any = false;
-    const int n = static_cast<int>(tb_.pids.size());
-    for (int pid2 = 0; pid2 < n; ++pid2) {
+    const RendezvousIndex& rx = tb_.rendezvous;
+    for (const int pid2 : rx.receivers(chan)) {
       if (pid2 == pid) continue;
       const BcPid& P2 = tb_.pids[static_cast<std::size_t>(pid2)];
       const int pc2 = s_.mem[static_cast<std::size_t>(P2.pc_slot)];
-      for (int ti2 : P2.cp->out[static_cast<std::size_t>(pc2)]) {
-        const BcTrans& t2 = P2.trans[static_cast<std::size_t>(ti2)];
-        if (t2.op != OpKind::Recv) continue;
+      for (const int ti2 : rx.receives(pid2, pc2)) {
+        const BcTrans& t2 = trans_of(P2, ti2);
         if (resolve_chan(t2) != chan) continue;
-        PNP_CHECK(static_cast<int>(t2.args.size()) == arity,
-                  "rendezvous pattern arity mismatch");
-        if (!match_pattern(t2.args, fields)) continue;
+        PNP_CHECK(t2.n_args == arity, "rendezvous pattern arity mismatch");
+        const std::span<const BcRecvArg> args2 = args_of(t2);
+        if (!match_pattern(args2, fields)) continue;
 
-        bind_pattern(t2.args, fields);
+        bind_pattern(args2, fields);
         mut_slot(P.pc_slot, t.dst);
         mut_slot(P2.pc_slot, t2.dst);
         ns().atomic_pid =
@@ -774,7 +829,7 @@ class BcGen {
     const ChanInfo& ch = tb_.chans[static_cast<std::size_t>(chan)];
     if (ch.capacity == 0) return false;  // rendezvous: passive side
     const int arity = ch.arity;
-    PNP_CHECK(static_cast<int>(t.args.size()) == arity,
+    PNP_CHECK(t.n_args == arity,
               "recv arity mismatch on channel " +
                   tb_.spec->channels[static_cast<std::size_t>(chan)].name);
 
@@ -785,22 +840,23 @@ class BcGen {
       return exec_recv_unordered(pid, P, ti, t, ch, chan, arity, len);
 
     const Value* buf = s_.mem.data() + ch.base + 1;
+    const std::span<const BcRecvArg> args = args_of(t);
     int idx = -1;
     if (t.random) {
       for (int i = 0; i < len; ++i) {
-        if (match_pattern(t.args, buf + static_cast<std::size_t>(i) * arity)) {
+        if (match_pattern(args, buf + static_cast<std::size_t>(i) * arity)) {
           idx = i;
           break;
         }
       }
-    } else if (match_pattern(t.args, buf)) {
+    } else if (match_pattern(args, buf)) {
       idx = 0;
     }
     if (idx < 0) return false;
 
     Value fields[16];
     std::copy_n(buf + static_cast<std::size_t>(idx) * arity, arity, fields);
-    bind_pattern(t.args, fields);
+    bind_pattern(args, fields);
     if (!t.copy) {
       save_chan(chan);
       tb_.lay->chan_erase(ns(), chan, idx);
@@ -814,13 +870,14 @@ class BcGen {
                            const ChanInfo& ch, int chan, int arity, int len) {
     bool any = false;
     const Value* buf = s_.mem.data() + ch.base + 1;
+    const std::span<const BcRecvArg> args = args_of(t);
     for (int i = 0; i < len; ++i) {
       const Value* msg = buf + static_cast<std::size_t>(i) * arity;
-      if (!match_pattern(t.args, msg)) continue;
+      if (!match_pattern(args, msg)) continue;
       if (i > 0 && std::equal(msg, msg + arity, msg - arity)) continue;
       Value fields[16];
       std::copy_n(msg, arity, fields);
-      bind_pattern(t.args, fields);
+      bind_pattern(args, fields);
       if (!t.copy) {
         save_chan(chan);
         tb_.lay->chan_erase(ns(), chan, i);

@@ -116,12 +116,12 @@ class FlatRun {
         keys_(m.layout(), *opt.engine),
         seed_(seed),
         // The pipelined probe pays per-candidate bookkeeping to overlap the
-        // store's cache misses with the next candidates' generation. That
-        // wins under compiled engines and loses under the interpreter, whose
-        // generation dominates (DESIGN.md section 15.4); bitstate has no
-        // exact probe to pipeline.
+        // store's cache misses with the next candidates' generation. Only
+        // native code generates fast enough for that to pay; under the
+        // interpreter and the bytecode engine generation dominates
+        // (DESIGN.md section 15.4). Bitstate has no exact probe to pipeline.
         defer_(!opt.bitstate &&
-               opt.engine->kind() != codegen::EngineKind::Interp) {
+               opt.engine->kind() == codegen::EngineKind::Aot) {
     PNP_CHECK(seed == 0 || opt.bitstate,
               "a seeded search order requires bitstate mode (replayed "
               "successors carry no undo log to delta-compress from)");

@@ -38,21 +38,29 @@
 
 namespace pnp::explore {
 
-/// Anonymous mapping advised onto transparent huge pages. The visited
-/// table is probed at a random slot per insert; at millions of states the
-/// table spans hundreds of megabytes, so with 4 KiB pages nearly every
-/// probe adds a dTLB miss on top of the unavoidable cache miss. 2 MiB
-/// pages cover the whole table with a few dozen TLB entries. Falls back to
-/// plain operator new when mmap is unavailable (non-Linux, or mmap
-/// failure) -- callers only see zeroed memory either way.
-class HugeZeroBuf {
+/// Zero-filled buffer. From one page size up it is an anonymous mapping,
+/// whose pages the kernel zeroes on first touch, so set-up writes nothing.
+/// `Pages::Huge` advises the mapping onto transparent huge pages: the
+/// visited table is probed at a random slot per insert, and at millions of
+/// states it spans hundreds of megabytes, so with 4 KiB pages nearly every
+/// probe adds a dTLB miss on top of the unavoidable cache miss; 2 MiB pages
+/// cover the whole table with a few dozen TLB entries. `Pages::Small` keeps
+/// 4 KiB pages for a buffer touched sparsely (a bitstate filter sets two
+/// random bits per state, and a huge page would fault in 2 MiB for each).
+/// Falls back to zeroed operator new below one page, without mmap
+/// (non-Linux), or on mmap failure -- callers only see zeroed memory.
+class ZeroBuf {
  public:
-  HugeZeroBuf() = default;
-  explicit HugeZeroBuf(std::size_t bytes) { allocate(bytes); }
-  ~HugeZeroBuf() { release(); }
+  enum class Pages { Huge, Small };
 
-  HugeZeroBuf(HugeZeroBuf&& o) noexcept { *this = std::move(o); }
-  HugeZeroBuf& operator=(HugeZeroBuf&& o) noexcept {
+  ZeroBuf() = default;
+  explicit ZeroBuf(std::size_t bytes, Pages pages = Pages::Huge) {
+    allocate(bytes, pages);
+  }
+  ~ZeroBuf() { release(); }
+
+  ZeroBuf(ZeroBuf&& o) noexcept { *this = std::move(o); }
+  ZeroBuf& operator=(ZeroBuf&& o) noexcept {
     if (this != &o) {
       release();
       data_ = o.data_;
@@ -64,30 +72,34 @@ class HugeZeroBuf {
     }
     return *this;
   }
-  HugeZeroBuf(const HugeZeroBuf&) = delete;
-  HugeZeroBuf& operator=(const HugeZeroBuf&) = delete;
+  ZeroBuf(const ZeroBuf&) = delete;
+  ZeroBuf& operator=(const ZeroBuf&) = delete;
 
   void* data() const { return data_; }
   std::size_t bytes() const { return bytes_; }
 
  private:
-  static constexpr std::size_t kHuge = std::size_t{2} << 20;
-
-  void allocate(std::size_t bytes) {
+  void allocate(std::size_t bytes, Pages pages) {
     bytes_ = bytes;
+    if (bytes == 0) return;
 #if defined(__linux__)
-    if (bytes >= kHuge) {
-      const std::size_t len = (bytes + kHuge - 1) & ~(kHuge - 1);
+    const std::size_t page = pages == Pages::Huge ? std::size_t{2} << 20
+                                                  : std::size_t{4} << 10;
+    if (bytes >= page) {
+      const std::size_t len = (bytes + page - 1) & ~(page - 1);
       void* p = ::mmap(nullptr, len, PROT_READ | PROT_WRITE,
                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
       if (p != MAP_FAILED) {
-        ::madvise(p, len, MADV_HUGEPAGE);
+        ::madvise(p, len,
+                  pages == Pages::Huge ? MADV_HUGEPAGE : MADV_NOHUGEPAGE);
         data_ = p;
         bytes_ = len;
         mapped_ = true;
         return;
       }
     }
+#else
+    (void)pages;
 #endif
     data_ = ::operator new(bytes);
     std::memset(data_, 0, bytes);
@@ -233,7 +245,7 @@ class KeyArena {
   }
 
   std::vector<std::uint8_t*> chunks_;  // by chunk index; null if skipped
-  std::vector<HugeZeroBuf> heap_;      // owns the heap chunks
+  std::vector<ZeroBuf> heap_;          // owns the heap chunks
   support::SpillPool* spill_ = nullptr;  // not owned; frees on destruction
   std::uint64_t top_ = 0;  // next free offset in the current chunk
   std::uint64_t end_ = 0;  // end of the current chunk (none yet: 0)
@@ -374,7 +386,7 @@ class FlatKeySet {
     // table cannot outgrow 2^32 slots -- the 4 GiB arena overflows first.
     PNP_CHECK(cap <= (std::size_t{1} << 32),
               "visited table exceeds 2^32 slots");
-    HugeZeroBuf buf(cap * sizeof(Slot));
+    ZeroBuf buf(cap * sizeof(Slot));
     Slot* slots = static_cast<Slot*>(buf.data());
     const std::size_t mask = cap - 1;
     for (std::size_t i = 0; i < cap_; ++i) {
@@ -419,7 +431,7 @@ class FlatKeySet {
     ++size_;
   }
 
-  HugeZeroBuf buf_;
+  ZeroBuf buf_;
   Slot* slots_ = nullptr;
   std::size_t cap_ = 0;
   bool marked_ = false;

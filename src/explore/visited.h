@@ -31,13 +31,17 @@ namespace pnp::explore {
 /// Single-threaded visited-state store: exact flat key set, or double-bit
 /// Bloom filter in bitstate (supertrace) mode. `seed` perturbs the bitstate
 /// hash functions; seed 0 reproduces the historical single-search behavior.
-/// The exact set starts at its minimum and grows with the keys it holds.
+/// The exact set starts at its minimum and grows with the keys it holds;
+/// the filter is a lazily zeroed mapping, so a short search pays only for
+/// the pages its bits land on, however large the filter.
 class VisitedSet {
  public:
   VisitedSet(bool bitstate, std::uint64_t bytes, std::uint64_t seed)
-      : bitstate_(bitstate), seed_(seed) {
-    if (bitstate_) bits_.assign(bytes, 0);
-  }
+      : bitstate_(bitstate),
+        seed_(seed),
+        filter_bytes_(bitstate ? bytes : 0),
+        bits_(static_cast<std::size_t>(filter_bytes_),
+              ZeroBuf::Pages::Small) {}
 
   /// Pipelined insert for callers that can overlap the probe's cache misses
   /// with other work (exact mode only): stage() hashes the key and prefetches
@@ -66,7 +70,7 @@ class VisitedSet {
   /// Returns true if `key` was not present before (and records it).
   bool insert(std::span<const std::uint8_t> key) {
     if (!bitstate_) return set_.insert(key, fast_hash64(key));
-    const std::uint64_t nbits = bits_.size() * 8;
+    const std::uint64_t nbits = filter_bytes_ * 8;
     const std::uint64_t b1 = (hash_bytes(key) ^ avalanche64(seed_)) % nbits;
     const std::uint64_t b2 = (hash_bytes2(key) + seed_ * kFnvPrime) % nbits;
     const bool seen = get_bit(b1) && get_bit(b2);
@@ -83,7 +87,7 @@ class VisitedSet {
   /// Memory footprint: the bit array in bitstate mode; probe arrays plus
   /// resident key-arena slabs for the exact set.
   std::uint64_t approx_bytes() const {
-    if (bitstate_) return bits_.size();
+    if (bitstate_) return filter_bytes_;
     return set_.approx_bytes();
   }
 
@@ -102,14 +106,20 @@ class VisitedSet {
   }
 
  private:
-  bool get_bit(std::uint64_t i) const {
-    return (bits_[i >> 3] >> (i & 7)) & 1;
+  std::uint8_t* bits() const {
+    return static_cast<std::uint8_t*>(bits_.data());
   }
-  void set_bit(std::uint64_t i) { bits_[i >> 3] |= std::uint8_t(1u << (i & 7)); }
+  bool get_bit(std::uint64_t i) const {
+    return (bits()[i >> 3] >> (i & 7)) & 1;
+  }
+  void set_bit(std::uint64_t i) {
+    bits()[i >> 3] |= std::uint8_t(1u << (i & 7));
+  }
 
   bool bitstate_;
   std::uint64_t seed_;
-  std::vector<std::uint8_t> bits_;
+  std::uint64_t filter_bytes_;  // the bit array's size; bits_ rounds up
+  ZeroBuf bits_;
   FlatKeySet set_;
   std::uint64_t approx_count_ = 0;
 };

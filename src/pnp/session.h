@@ -49,13 +49,14 @@ struct RunConfig : ExecBudget {
   std::uint64_t bitstate_bytes = std::uint64_t{1} << 26;
   MinimizeMode minimize = MinimizeMode::Off;
   GenOptions gen{};
-  /// Successor-generation engine: interp (historical), bytecode (threaded
-  /// interpreter, always available), or aot (per-model compiled .so, cached
-  /// under cache_dir, falling back to bytecode without a host toolchain).
-  /// Deliberately excluded from digest(): engines are verdict- and
-  /// state-count-equivalent by construction, so checkpoints and cached
+  /// Successor-generation engine: bytecode (the default: threaded
+  /// interpreter, always available), interp (the reference interpreter the
+  /// library option structs default to), or aot (per-model compiled .so,
+  /// cached under cache_dir, falling back to bytecode without a host
+  /// toolchain). Deliberately excluded from digest(): engines are verdict-
+  /// and state-count-equivalent by construction, so checkpoints and cached
   /// verdicts written under one engine stay valid under another.
-  codegen::EngineKind engine = codegen::EngineKind::Interp;
+  codegen::EngineKind engine = codegen::EngineKind::Bytecode;
 
   // -- properties (texts; each frontend resolves them in its own scope) --
   std::string invariant_text;

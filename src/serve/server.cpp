@@ -43,6 +43,24 @@ std::string cache_dir_of(const ServerOptions& opts) {
 
 }  // namespace
 
+RunConfig job_config(const JobRequest& req, const ServerOptions& opts) {
+  RunConfig cfg = req.config;
+  cfg.heartbeat = false;  // no TTY on a daemon; events stream instead
+  // Compiled AOT artifacts land in the daemon's cache directory: they are
+  // content-addressed by the machine digest, so every worker shares one
+  // store and a resubmitted model reuses its .so across jobs. The other
+  // engines write no artifacts.
+  if (cfg.engine == codegen::EngineKind::Aot && cfg.cache_dir.empty())
+    cfg.cache_dir = cache_dir_of(opts);
+  if (!req.explicit_memory || cfg.memory_budget_bytes == 0)
+    cfg.memory_budget_bytes = opts.default_job_memory;
+  if (req.checkpoint && cfg.checkpoint_dir.empty()) {
+    cfg.checkpoint_dir = opts.state_dir + "/ckpt/" + sanitize_id(req.id);
+    cfg.resume = true;  // a resubmit after a drain continues the search
+  }
+  return cfg;
+}
+
 Server::Server(ServerOptions opts)
     : opts_(std::move(opts)),
       queue_(opts_.memory_budget, opts_.default_job_memory,
@@ -381,20 +399,8 @@ void Server::run_job(Job& job) {
     text = ss.str();
   }
 
-  RunConfig cfg = req.config;
+  RunConfig cfg = job_config(req, opts_);
   cfg.shared_cache = &cache_;
-  cfg.heartbeat = false;  // no TTY on a daemon; events stream instead
-  // Compiled AOT artifacts land in the daemon's cache directory: they are
-  // content-addressed by the machine digest, so every worker shares one
-  // store and a resubmitted model reuses its .so across jobs.
-  if (cfg.engine != codegen::EngineKind::Interp && cfg.cache_dir.empty())
-    cfg.cache_dir = cache_dir_of(opts_);
-  if (!req.explicit_memory || cfg.memory_budget_bytes == 0)
-    cfg.memory_budget_bytes = opts_.default_job_memory;
-  if (req.checkpoint && cfg.checkpoint_dir.empty()) {
-    cfg.checkpoint_dir = opts_.state_dir + "/ckpt/" + sanitize_id(req.id);
-    cfg.resume = true;  // a resubmit after a drain continues the search
-  }
 
   Session session(cfg);
   session.set_interrupt(job.cancel.get());

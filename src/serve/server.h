@@ -61,6 +61,14 @@ struct ServerOptions {
   std::string state_dir;
 };
 
+/// The RunConfig a daemon job runs under: the request's own, with the
+/// daemon's defaults filled in -- no TTY ticker, the daemon's cache
+/// directory as the AOT artifact cache of an aot job that names none, the
+/// default job memory unless the request set one, and a per-job checkpoint
+/// directory (resumed on resubmit) for a job that asks to be checkpointed
+/// on drain. The caller points shared_cache at the daemon's verdict cache.
+RunConfig job_config(const JobRequest& req, const ServerOptions& opts);
+
 struct ServerStats {
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;

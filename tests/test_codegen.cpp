@@ -11,7 +11,9 @@
 //       the paper's fig13/fig14 bridges and the fault-injection blocks;
 //   (2) the native skip + resume-token seam: engine-side suppression must
 //       equal sink-side filtering for every prefix length, and a simulated
-//       pass loop must re-stream the exact reference sequence;
+//       pass loop must re-stream the exact reference sequence -- on the
+//       zoo and on a model of the rendezvous shapes where the compiled
+//       engines' static partner index could part from the scan;
 //   (3) search-level: verdicts, stored/matched/transition counts at thread
 //       counts 1/2/8, bounded (truncation-order-sensitive) runs, violation
 //       trails, and interp<->bytecode checkpoint portability;
@@ -50,6 +52,7 @@
 #include "kernel/machine.h"
 #include "kernel/state.h"
 #include "ltl/product.h"
+#include "pml/parser.h"
 #include "pnp/generator.h"
 #include "support/hash.h"
 #include "support/panic.h"
@@ -468,6 +471,102 @@ TEST(EngineDiff, ResumeTokenPassLoopReproducesStream) {
       EXPECT_EQ(tok, 0u) << t.name << "/interp resume token";
     }
   }
+}
+
+/// Rendezvous shapes where the compiled engines' static partner index
+/// (codegen/rendezvous.h) could part from the interpreter's scan of every
+/// process: Dyn receives on a channel held in a local (r, then s, then the
+/// buffered q), so the index lists it under every rendezvous channel and
+/// resolves it at run time; Pick has two receives on r at one pc, told apart
+/// by their match constants, beside an else; Both sends and receives on s at
+/// one pc, so a send must skip its own receive.
+constexpr const char* kRendezvousShapes = R"(
+chan r = [0] of { byte };
+chan s = [0] of { byte };
+chan q = [1] of { byte };
+byte got;
+byte idle;
+
+active proctype Send() {
+  byte i = 0;
+  do
+  :: i < 2 -> r!1; i++
+  :: i < 2 -> r!2; i++
+  :: i < 2 -> s!4; i++
+  :: i < 2 -> q!5; i++
+  :: i >= 2 -> break
+  od
+}
+
+active proctype Dyn() {
+  byte c = 0;
+  end: do
+  :: c?_ -> c = (c + 1) % 3
+  od
+}
+
+active proctype Pick() {
+  end: do
+  :: r?1 -> got = 1
+  :: r?2 -> got = 2
+  :: else -> idle = 1
+  od
+}
+
+active proctype Both() {
+  byte v;
+  end: do
+  :: s!3
+  :: s?v -> got = v
+  od
+}
+)";
+
+TEST(EngineDiff, RendezvousPartnerIndexMatchesTheScan) {
+  model::SystemSpec sys = pml::parse(kRendezvousShapes);
+  const Machine m(sys);
+  const auto bc = make_bytecode(m);
+  const std::vector<State> states = reachable_states(m, 2000);
+  ASSERT_LT(states.size(), 2000u) << "the sweep must cover the whole space";
+  // Every partner shape must actually fire: a handshake to each receiver.
+  std::vector<int> partners(static_cast<std::size_t>(m.n_processes()), 0);
+  for (const State& s : states) {
+    const std::vector<Emission> ref = interp_emissions(m, s);
+    expect_same_stream(ref, engine_emissions(*bc, s), "bytecode");
+    for (std::uint32_t k = 1; k <= ref.size(); ++k)
+      expect_same_stream(
+          std::vector<Emission>(ref.begin() + k, ref.end()),
+          engine_emissions(*bc, s, k), "bytecode skip=" + std::to_string(k));
+    check_pass_loop(*bc, m, s, "bytecode pass loop");
+    for (const Emission& e : ref)
+      if (e.partner_pid >= 0)
+        ++partners[static_cast<std::size_t>(e.partner_pid)];
+  }
+  EXPECT_EQ(partners[0], 0);  // Send only sends
+  for (int pid = 1; pid < m.n_processes(); ++pid)
+    EXPECT_GT(partners[static_cast<std::size_t>(pid)], 0) << "pid " << pid;
+
+  // The emitter cannot fold Dyn's channel, so aot falls back to bytecode
+  // (before any toolchain is consulted) and reaches the same verdict.
+  std::string why;
+  EXPECT_TRUE(codegen::emit_aot_units(m, "digest", 1, &why).empty());
+  EXPECT_NE(why.find("state-dependent channel id"), std::string::npos) << why;
+  TempDir cache;
+  codegen::EngineOptions o;
+  o.kind = codegen::EngineKind::Aot;
+  o.cache_dir = cache.str();
+  std::string note;
+  const auto aot = codegen::make_engine(m, o, &note);
+  EXPECT_EQ(aot->kind(), codegen::EngineKind::Bytecode) << note;
+  explore::Options eo;
+  const explore::Result ref = explore::explore(m, eo);
+  eo.engine = aot.get();
+  const explore::Result got = explore::explore(m, eo);
+  EXPECT_EQ(got.ok(), ref.ok());
+  EXPECT_TRUE(got.stats.complete);
+  EXPECT_EQ(got.stats.states_stored, ref.stats.states_stored);
+  EXPECT_EQ(got.stats.states_matched, ref.stats.states_matched);
+  EXPECT_EQ(got.stats.transitions, ref.stats.transitions);
 }
 
 // -- (3) search-level equivalence --------------------------------------------

@@ -3,9 +3,23 @@
 // BFS/DFS agreement, and stats plausibility.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <string>
+
+#include "codegen/engine.h"
 #include "explore/explorer.h"
 #include "kernel/machine.h"
 #include "model/builder.h"
+#include "pml/parser.h"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define PNP_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define PNP_TEST_SANITIZED 1
+#endif
+#endif
 
 namespace pnp::explore {
 namespace {
@@ -115,6 +129,85 @@ TEST(Explore, BitstateVisitsSameOrderOfMagnitude) {
   // with a roomy filter nearly all states are distinguished
   EXPECT_GE(r_bs.stats.states_stored, r_exact.stats.states_stored * 9 / 10);
   EXPECT_LE(r_bs.stats.states_stored, r_exact.stats.states_stored);
+}
+
+/// This process's resident set (VmRSS) in bytes; 0 where /proc is absent.
+std::uint64_t resident_bytes() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoull(line.substr(6)) << 10;
+  return 0;
+}
+
+/// Forwards to `inner` and samples the resident set on every visit, so a
+/// test sees memory a search holds only while it runs.
+class RssSampler final : public codegen::Engine {
+ public:
+  explicit RssSampler(const codegen::Engine& inner)
+      : Engine(inner.machine()), inner_(inner) {}
+
+  codegen::EngineKind kind() const override { return inner_.kind(); }
+  void visit_successors(const kernel::State& s, kernel::SuccScratch& scratch,
+                        kernel::SuccSink& sink, std::uint32_t skip,
+                        std::uint64_t* resume) const override {
+    peak = std::max(peak, resident_bytes());
+    inner_.visit_successors(s, scratch, sink, skip, resume);
+  }
+  bool visit_successors_of(const kernel::State& s, int pid,
+                           kernel::SuccScratch& scratch,
+                           kernel::SuccSink& sink,
+                           std::uint32_t skip) const override {
+    peak = std::max(peak, resident_bytes());
+    return inner_.visit_successors_of(s, pid, scratch, sink, skip);
+  }
+
+  mutable std::uint64_t peak = 0;
+
+ private:
+  const codegen::Engine& inner_;
+};
+
+TEST(Explore, BitstateFilterCostsOnlyThePagesItTouches) {
+#ifdef PNP_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer shadow memory blurs the resident set";
+#endif
+  // The ladder's bitstate rung takes a 64 MiB filter when no budget sizes
+  // it; a search that stops after 20 states must not pay for all of it.
+  model::SystemSpec sys = pml::parse(R"(
+    chan box = [2] of { byte };
+    byte received;
+    active proctype Producer() {
+      byte i = 1;
+      do
+      :: i <= 3 -> box!i; i++
+      :: i > 3 -> break
+      od
+    }
+    active proctype Consumer() {
+      byte j = 1;
+      byte v;
+      do
+      :: j <= 3 -> box?v; assert(v == j); received++; j++
+      :: j > 3 -> break
+      od
+    }
+  )");
+  const kernel::Machine m(sys);
+  const auto interp = codegen::make_engine(m, {});
+  RssSampler sampler(*interp);
+  Options o;
+  o.bitstate = true;
+  o.bitstate_bytes = std::uint64_t{64} << 20;
+  o.max_states = 20;
+  o.engine = &sampler;
+  const std::uint64_t before = resident_bytes();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/status on this platform";
+  const Result r = explore(m, o);
+  EXPECT_GE(r.stats.states_stored, 20u);
+  EXPECT_LT(std::max(sampler.peak, before) - before, std::uint64_t{4} << 20)
+      << "resident before " << before << " B, peak during the search "
+      << sampler.peak << " B";
 }
 
 TEST(Explore, BfsAndDfsAgreeOnVerdict) {

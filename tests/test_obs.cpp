@@ -7,9 +7,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "adl/adl.h"
 #include "bridge/bridge.h"
 #include "explore/explorer.h"
 #include "obs/obs.h"
@@ -216,6 +219,83 @@ TEST(Session, VerdictsMatchLegacyOnFig14Bounded) {
   cfg2.max_states = 50'000;
   cfg2.degrade = false;
   expect_same_verdict(m, "fig14", lopt, cfg2);
+}
+
+std::string read_model(const std::string& name) {
+  std::ifstream in(std::string(PNP_MODELS_DIR) + "/" + name);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST(Session, DefaultsToBytecodeWithTheInterpretersVerdicts) {
+  // Front ends verify on the bytecode engine; the reference interpreter,
+  // asked for explicitly, must reach the same verdicts and state counts.
+  const std::vector<std::pair<std::string, std::function<RunReport(Session&)>>>
+      cases = {
+          {"fixed N=1 bridge",
+           [](Session& s) {
+             s.config().invariant_text =
+                 "!(blue_on_bridge > 0 && red_on_bridge > 0) && "
+                 "blue_on_bridge <= 1 && red_on_bridge <= 1";
+             bridge::BridgeConfig bc;
+             bc.batch_n = 1;
+             bc.buggy_async_enter = true;
+             Architecture arch = bridge::make_v1(bc);
+             bridge::apply_v1_fix(arch, bc);
+             ModelGenerator& gen = s.generator();
+             const kernel::Machine m =
+                 gen.generate(arch, {.optimize_connectors = true});
+             return s.verify_machine(
+                 m, arch.name(), [&gen](const std::string& t) {
+                   return gen.parse_expr_text(t).ref;
+                 });
+           }},
+          {"demo.arch",
+           [](Session& s) {
+             s.config().end_invariant_text = "delivered == 3";
+             return s.verify_source("demo.arch", read_model("demo.arch"));
+           }},
+          {"resilient_counter.arch faults",
+           [](Session& s) {
+             // The connector faults of the pnpv resilience example.
+             s.config().invariant_text = "received <= 1";
+             return s.verify_resilience(
+                 adl::parse_architecture(read_model("resilient_counter.arch")),
+                 {{FaultKind::MessageDuplication, "Link", 0},
+                  {FaultKind::MessageReorder, "Link", 0},
+                  {FaultKind::MessageLoss, "Link", 0},
+                  {FaultKind::SendTimeout, "Sender.out", 2}});
+           }},
+      };
+  for (const auto& [name, run] : cases) {
+    Session bytecode(quiet_config());
+    RunConfig interp_cfg = quiet_config();
+    interp_cfg.engine = codegen::EngineKind::Interp;
+    Session interp(interp_cfg);
+    const RunReport got = run(bytecode);
+    const RunReport ref = run(interp);
+    ASSERT_FALSE(got.checks.empty()) << name;
+    EXPECT_TRUE(got.passed) << name;
+    EXPECT_EQ(got.passed, ref.passed) << name;
+    ASSERT_EQ(got.checks.size(), ref.checks.size()) << name;
+    for (std::size_t i = 0; i < got.checks.size(); ++i) {
+      const RunCheck& g = got.checks[i];
+      const RunCheck& r = ref.checks[i];
+      const std::string what = name + " / " + g.label;
+      EXPECT_EQ(g.engine, "bytecode") << what;
+      EXPECT_EQ(r.engine, "interp") << what;
+      EXPECT_EQ(g.kind, r.kind) << what;
+      EXPECT_EQ(g.label, r.label) << what;
+      EXPECT_EQ(g.passed, r.passed) << what;
+      EXPECT_EQ(g.stage, r.stage) << what;
+      EXPECT_EQ(g.states_stored, r.states_stored) << what;
+    }
+    if (name == "fixed N=1 bridge") {
+      ASSERT_EQ(got.checks.size(), 1u);
+      EXPECT_EQ(got.checks[0].states_stored, 28'251u);
+    }
+  }
 }
 
 // -- Session end-to-end: ledger + trail files ----------------------------------

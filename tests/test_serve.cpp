@@ -141,8 +141,8 @@ TEST(ServeProto, SubmitRoundTrips) {
 }
 
 TEST(ServeProto, EngineKeyRoundTripsAndRejectsUnknown) {
-  // Every named engine survives render -> parse; the default (interp) is
-  // omitted from the frame and restored on parse.
+  // Every named engine survives render -> parse; the default
+  // (RunConfig{}.engine) is omitted from the frame and restored on parse.
   for (const auto kind :
        {codegen::EngineKind::Interp, codegen::EngineKind::Bytecode,
         codegen::EngineKind::Aot}) {
@@ -151,8 +151,9 @@ TEST(ServeProto, EngineKeyRoundTripsAndRejectsUnknown) {
     req.model_text = "architecture a {}";
     req.config.engine = kind;
     const std::string frame = render_submit(req);
-    if (kind == codegen::EngineKind::Interp)
+    if (kind == RunConfig{}.engine) {
       EXPECT_EQ(frame.find("\"engine\""), std::string::npos) << frame;
+    }
     JobRequest back;
     std::string err;
     ASSERT_TRUE(parse_request(frame, back, &err)) << err;
@@ -167,6 +168,27 @@ TEST(ServeProto, EngineKeyRoundTripsAndRejectsUnknown) {
       req, &err));
   EXPECT_NE(err.find("unknown engine"), std::string::npos) << err;
   EXPECT_NE(err.find("bytecode"), std::string::npos) << err;
+}
+
+TEST(ServeConfig, ArtifactCacheDefaultsOnlyForAotJobs) {
+  // Only the aot engine writes artifacts, so only an aot job that names no
+  // cache directory is pointed at the daemon's; a job's own always wins.
+  ServerOptions opts;
+  opts.state_dir = "pnpd-state";
+  for (const auto kind :
+       {codegen::EngineKind::Interp, codegen::EngineKind::Bytecode,
+        codegen::EngineKind::Aot}) {
+    JobRequest req;
+    req.config.engine = kind;
+    EXPECT_EQ(job_config(req, opts).cache_dir,
+              kind == codegen::EngineKind::Aot ? "pnpd-state/cache" : "")
+        << codegen::engine_kind_name(kind);
+    req.config.cache_dir = "job-cache";
+    EXPECT_EQ(job_config(req, opts).cache_dir, "job-cache")
+        << codegen::engine_kind_name(kind);
+  }
+  // A request that names no engine runs on the default and writes nothing.
+  EXPECT_EQ(job_config(JobRequest{}, opts).cache_dir, "");
 }
 
 TEST(ServeProto, MalformedFramesAreRejectedWithReasons) {

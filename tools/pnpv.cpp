@@ -210,7 +210,8 @@ const FlagDef kFlags[] = {
            v == "strong" ? MinimizeMode::Strong : MinimizeMode::Weak;
      }},
     {"engine", "PNPV_ENGINE", "KIND", nullptr,
-     "successor engine: interp (default), bytecode (threaded fallback "
+     "successor engine: bytecode (default; threaded interpreter over "
+     "per-process tables, always available), interp (the reference "
      "interpreter) or aot (per-model compiled .so, cached under "
      "--cache-dir; falls back to bytecode when no host toolchain is "
      "present, except with --resume, where the fallback is an error). "
