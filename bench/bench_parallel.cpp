@@ -217,8 +217,9 @@ int main(int argc, char** argv) {
       once(&ob, instr_s, instr_states);
     }
     ok = ok && base_states == instr_states;
-    // each run publishes absolute tallies into a fresh block, so the merged
-    // total must be exactly reps x the per-run count
+    // each run publishes absolute tallies into its own block, folded into
+    // the base block when the run ends, so the total must be exactly reps x
+    // the per-run count
     ok = ok && ob.recorder().total(obs::Counter::StatesStored) ==
                    static_cast<std::uint64_t>(reps) * instr_states;
     obs_base_s = base_s;

@@ -37,10 +37,13 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # state that gates a rewrite). Budget, Spill and Resume run the shared
   # search governor under every budget: the budget matrix, the racing LTL
   # budget tests (LtlBudget), and the parallel spill and resume paths.
+  # Recorder folds every search's counter block into its base block while
+  # other threads read the totals (a 4-thread search under a polling
+  # reader), and Session.Aged runs thousands of searches on one observer.
   cmake -B build-tsan -S . -DPNP_SANITIZE=thread
   cmake --build build-tsan -j "$(nproc)" --target test_parallel test_explore \
-    test_serve test_codegen test_reduce test_ltl test_durable pnpv
+    test_serve test_codegen test_reduce test_ltl test_durable test_obs pnpv
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-      -R 'Parallel|Swarm|Explore|Serve|pnpv\.threads|EnginePor|EngineExplore|EngineLtl|Cache|Budget|Spill|Resume'
+      -R 'Parallel|Swarm|Explore|Serve|pnpv\.threads|EnginePor|EngineExplore|EngineLtl|Cache|Budget|Spill|Resume|Recorder|Session\.Aged'
 fi

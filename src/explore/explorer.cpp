@@ -798,7 +798,7 @@ class FlatRun {
   std::uint64_t tick_ = 0;  // expansion passes, for the governor's stride
   int max_depth_seen_ = 0;
 
-  obs::CounterBlock* blk_ = nullptr;  // this run's telemetry slice
+  obs::Recorder::Block blk_;  // this run's telemetry slice, folded at the end
   std::uint64_t por_ample_ = 0;
 
   // -- checkpoint contents ---------------------------------------------------

@@ -63,7 +63,8 @@ struct Options {
   /// are merged.
   int threads = 1;
   /// Observability context: engines publish counters into per-run blocks
-  /// (opened on obs->recorder()), emit rate-limited Progress heartbeats,
+  /// (opened on obs->recorder(), folded into its base block when the run
+  /// ends), emit rate-limited Progress heartbeats,
   /// an 80% BudgetWarning per budget, and set store and peak-frontier
   /// gauges. Null (the default) disables all of it at the cost of one
   /// branch per budget-check stride. The recorder's own footprint is

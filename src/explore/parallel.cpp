@@ -128,7 +128,7 @@ class ParallelRun {
     std::uint64_t tick = 0;              // expansions, for the governor
     kernel::SuccScratch scratch;         // mutate-and-revert workspace
     std::vector<std::uint8_t> key_buf;   // compressed-key scratch
-    obs::CounterBlock* blk = nullptr;    // this worker's telemetry slice
+    obs::Recorder::Block blk;            // this worker's telemetry slice
     std::uint64_t por_ample = 0;
     // Stored-but-never-queued states (max_states/max_depth), kept so a
     // final checkpoint's frontier is exactly where this run stopped.

@@ -634,7 +634,7 @@ class ProductSearch {
   std::uint64_t transitions_ = 0;
   std::uint64_t tick_ = 0;  // expansion passes, for the governor's stride
   bool halted_ = false;  // stopped early: aborted, interrupted or over budget
-  obs::CounterBlock* blk_ = nullptr;
+  obs::Recorder::Block blk_;
 };
 
 }  // namespace

@@ -78,17 +78,45 @@ const char* event_kind_name(EventKind k) {
 
 // -- Recorder -----------------------------------------------------------------
 
-CounterBlock* Recorder::open_block() {
+Recorder::Block Recorder::open_block() {
   std::lock_guard<std::mutex> lock(mu_);
-  blocks_.push_back(std::make_unique<CounterBlock>());
-  return blocks_.back().get();
+  if (spare_.empty()) {
+    live_.push_back(std::make_unique<CounterBlock>());
+  } else {
+    live_.push_back(std::move(spare_.back()));
+    spare_.pop_back();
+  }
+  return Block(live_.back().get(), Fold{this});
+}
+
+void Recorder::fold(CounterBlock* b) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = std::find_if(live_.begin(), live_.end(),
+                               [b](const auto& p) { return p.get() == b; });
+  if (it == live_.end()) return;  // only open_block()'s handles fold
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    const auto c = static_cast<Counter>(i);
+    base_.add(c, b->get(c));
+    b->set(c, 0);
+  }
+  spare_.push_back(std::move(*it));
+  *it = std::move(live_.back());
+  live_.pop_back();
 }
 
 std::uint64_t Recorder::total(Counter c) const {
-  std::uint64_t sum = base_.get(c);
+  return totals()[static_cast<std::size_t>(c)];
+}
+
+std::array<std::uint64_t, kCounterCount> Recorder::totals() const {
+  std::array<std::uint64_t, kCounterCount> out{};
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& b : blocks_) sum += b->get(c);
-  return sum;
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    const auto c = static_cast<Counter>(i);
+    out[i] = base_.get(c);
+    for (const auto& b : live_) out[i] += b->get(c);
+  }
+  return out;
 }
 
 void Recorder::max_gauge(Gauge g, std::uint64_t v) {
@@ -99,43 +127,37 @@ void Recorder::max_gauge(Gauge g, std::uint64_t v) {
   }
 }
 
-std::size_t Recorder::phase_begin(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  PhaseRec rec;
-  rec.timing.name = name;
-  rec.start = std::chrono::steady_clock::now();
-  phases_.push_back(std::move(rec));
-  return phases_.size() - 1;
+void Recorder::clear_gauges() {
+  for (auto& g : gauges_) g.store(0, std::memory_order_relaxed);
 }
 
-void Recorder::phase_end(std::size_t token, std::uint64_t states,
-                         const std::string& truncation) {
-  auto now = std::chrono::steady_clock::now();
+std::size_t Recorder::phase_begin() {
+  const auto now = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(mu_);
-  if (token >= phases_.size() || !phases_[token].open) return;
-  PhaseRec& rec = phases_[token];
-  rec.open = false;
-  rec.timing.seconds =
-      std::chrono::duration<double>(now - rec.start).count();
-  rec.timing.states = states;
-  rec.timing.truncation = truncation;
+  open_.push_back({next_phase_, now});
+  return next_phase_++;
 }
 
-std::vector<Recorder::PhaseTiming> Recorder::phases() const {
+double Recorder::phase_end(std::size_t token) {
+  const auto now = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<PhaseTiming> out;
-  out.reserve(phases_.size());
-  for (const auto& rec : phases_) out.push_back(rec.timing);
-  return out;
+  const auto it = std::find_if(open_.begin(), open_.end(),
+                               [token](const OpenPhase& p) {
+                                 return p.token == token;
+                               });
+  if (it == open_.end()) return 0.0;
+  const double seconds = std::chrono::duration<double>(now - it->start).count();
+  *it = open_.back();
+  open_.pop_back();
+  return seconds;
 }
 
 std::uint64_t Recorder::approx_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t bytes = sizeof(Recorder);
-  bytes += blocks_.size() * (sizeof(CounterBlock) + sizeof(void*));
-  bytes += phases_.capacity() * sizeof(PhaseRec);
-  for (const auto& rec : phases_) bytes += rec.timing.name.capacity();
-  return bytes;
+  return sizeof(Recorder) +
+         (live_.size() + spare_.size()) *
+             (sizeof(CounterBlock) + sizeof(void*)) +
+         open_.size() * sizeof(OpenPhase);
 }
 
 // -- Observer -----------------------------------------------------------------
@@ -159,7 +181,7 @@ void Observer::set_heartbeat_interval(double seconds) {
 
 std::size_t Observer::begin_phase(const std::string& name,
                                   std::uint64_t target) {
-  std::size_t token = rec_.phase_begin(name);
+  const std::size_t token = rec_.phase_begin();
   {
     std::lock_guard<std::mutex> lock(mu_);
     current_phase_ = name;
@@ -175,20 +197,16 @@ std::size_t Observer::begin_phase(const std::string& name,
 
 void Observer::end_phase(std::size_t token, std::uint64_t states,
                          double seconds, const std::string& truncation) {
-  rec_.phase_end(token, states, truncation);
+  const double measured = rec_.phase_end(token);
   Event e;
   e.kind = EventKind::PhaseFinished;
   e.states = states;
-  e.seconds = seconds;
+  // Prefer the recorder's own measured wall time when the caller has none.
+  e.seconds = seconds > 0.0 ? seconds : measured;
   e.detail = truncation;
   {
     std::lock_guard<std::mutex> lock(mu_);
     e.label = current_phase_;
-  }
-  // Prefer the recorder's own measured wall time when the caller has none.
-  if (e.seconds <= 0.0) {
-    for (const auto& p : rec_.phases())
-      if (p.name == e.label) e.seconds = p.seconds;
   }
   emit(e);
 }
@@ -277,6 +295,8 @@ void Observer::run_started(
     const std::string& subject, const std::string& digest,
     std::vector<std::pair<std::string, std::string>> attrs) {
   run_start_ = std::chrono::steady_clock::now();
+  run_base_ = rec_.totals();
+  rec_.clear_gauges();
   Event e;
   e.kind = EventKind::RunStarted;
   e.label = subject;
@@ -296,12 +316,14 @@ void Observer::run_finished(
     e.seconds = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - run_start_)
                     .count();
-  e.states = rec_.total(Counter::StatesStored);
+  const std::array<std::uint64_t, kCounterCount> now = rec_.totals();
+  auto run_total = [&](std::size_t i) { return now[i] - run_base_[i]; };
+  e.states = run_total(static_cast<std::size_t>(Counter::StatesStored));
   e.attrs = std::move(attrs);
   char buf[32];
   for (std::size_t i = 0; i < kCounterCount; ++i) {
     auto c = static_cast<Counter>(i);
-    std::uint64_t v = rec_.total(c);
+    std::uint64_t v = run_total(i);
     if (v == 0) continue;
     std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
     e.attrs.emplace_back(std::string("counter.") + counter_name(c), buf);

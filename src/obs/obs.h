@@ -26,7 +26,7 @@
 //    max_states), automatically suppressed when the stream is not a
 //    terminal so piped/CI output stays clean.
 //  * LedgerSink -- appends one JSONL record per run (schema "pnp.run.v1":
-//    config digest, per-phase metrics, merged counters, verdict, trail
+//    config digest, per-phase metrics, the run's counters, verdict, trail
 //    pointer) so scripts/bench.sh and CI can diff runs instead of
 //    re-parsing stdout. The record format is validated by
 //    validate_ledger_record(), which tests/test_obs.cpp pins.
@@ -96,7 +96,8 @@ const char* gauge_name(Gauge g);
 /// writes a block (relaxed stores/adds); any thread may read concurrently.
 /// Engines publish their local tallies as absolute values with set() every
 /// few hundred expansions, so a block converges to that engine run's final
-/// numbers and Recorder::total() sums runs/workers.
+/// numbers; when the run ends its block folds into the recorder's base
+/// block, so Recorder::total() sums runs/workers.
 struct alignas(64) CounterBlock {
   std::array<std::atomic<std::uint64_t>, kCounterCount> v{};
 
@@ -113,29 +114,41 @@ struct alignas(64) CounterBlock {
 
 /// Merged-on-read telemetry store. Block allocation and phase bookkeeping
 /// take a mutex (cold path); everything a hot loop touches is lock-free.
+///
+/// Its footprint does not grow with the runs it has recorded: a finished
+/// search's block folds into the base block and is recycled, and a phase
+/// record lives only while the phase is open. A long-lived Session thus
+/// pays the same per run at its thousandth run as at its first, and its
+/// memory budgets are not charged for its history.
 class Recorder {
  public:
-  struct PhaseTiming {
-    std::string name;
-    double seconds{0.0};
-    std::uint64_t states{0};
-    std::string truncation;  // empty = ran to completion
+  /// Folds a finished search's block into the base block (Block's deleter).
+  struct Fold {
+    Recorder* rec = nullptr;
+    void operator()(CounterBlock* b) const { rec->fold(b); }
   };
+  /// A search's counter block, live while the handle lives: destroying the
+  /// handle adds its tallies to the base block and recycles the block.
+  using Block = std::unique_ptr<CounterBlock, Fold>;
 
   Recorder() = default;
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
 
-  /// Allocates a fresh per-thread block; the pointer stays valid for the
-  /// recorder's lifetime. Thread-safe.
-  CounterBlock* open_block();
+  /// Hands out a zeroed per-thread block (a recycled one when a folded
+  /// block is spare). Thread-safe.
+  Block open_block();
 
   /// Convenience for cold-path increments (verifier, cache bookkeeping):
   /// adds onto the recorder's own base block.
   void add(Counter c, std::uint64_t n) { base_.add(c, n); }
 
-  /// Sum of `c` across the base block and every opened block.
+  /// Sum of `c` across the base block and every live block. A fold moves a
+  /// block's tallies into the base under the same lock, so a reader polling
+  /// during a search never sees the total drop.
   std::uint64_t total(Counter c) const;
+  /// total() of every counter, under one lock.
+  std::array<std::uint64_t, kCounterCount> totals() const;
 
   void set_gauge(Gauge g, std::uint64_t v) {
     gauges_[static_cast<std::size_t>(g)].store(v, std::memory_order_relaxed);
@@ -146,31 +159,36 @@ class Recorder {
     return gauges_[static_cast<std::size_t>(g)].load(
         std::memory_order_relaxed);
   }
+  /// Zeroes every gauge, so the next values are one run's peaks.
+  void clear_gauges();
 
-  /// Opens a named phase timer and returns its token. Phases may overlap
-  /// (parallel resilience variants), so the ledger keeps a flat list.
-  std::size_t phase_begin(const std::string& name);
-  void phase_end(std::size_t token, std::uint64_t states,
-                 const std::string& truncation = {});
-  std::vector<PhaseTiming> phases() const;
+  /// Opens a phase timer and returns its token. Phases may overlap
+  /// (parallel resilience variants), so each token times its own phase.
+  std::size_t phase_begin();
+  /// Closes the phase and returns its measured wall time in seconds (0 for
+  /// a token that is not open).
+  double phase_end(std::size_t token);
 
-  /// Memory the recorder itself holds (counter blocks + phase list) --
+  /// Memory the recorder itself holds (its counter blocks + open phases) --
   /// included in the explorers' memory-budget accounting so an instrumented
   /// run cannot silently exceed its budget through its own telemetry.
   std::uint64_t approx_bytes() const;
 
  private:
-  struct PhaseRec {
-    PhaseTiming timing;
+  void fold(CounterBlock* b);
+
+  struct OpenPhase {
+    std::size_t token;
     std::chrono::steady_clock::time_point start;
-    bool open{true};
   };
 
   CounterBlock base_;
   std::array<std::atomic<std::uint64_t>, kGaugeCount> gauges_{};
-  mutable std::mutex mu_;  // guards blocks_ growth and phases_
-  std::vector<std::unique_ptr<CounterBlock>> blocks_;
-  std::vector<PhaseRec> phases_;
+  mutable std::mutex mu_;  // guards live_, spare_, open_ and next_phase_
+  std::vector<std::unique_ptr<CounterBlock>> live_;   // held by searches
+  std::vector<std::unique_ptr<CounterBlock>> spare_;  // folded and zeroed
+  std::vector<OpenPhase> open_;
+  std::size_t next_phase_ = 0;
 };
 
 // -- lifecycle events ----------------------------------------------------------
@@ -253,10 +271,14 @@ class Observer {
   /// Search seeded from the checkpoint at `path` (`states` restored).
   void resumed(const std::string& path, std::uint64_t states);
   void counterexample(const std::string& property, const std::string& kind);
+  /// Emits RunStarted, snapshots the counter totals and zeroes the gauges:
+  /// the run's RunFinished reports this run alone.
   void run_started(const std::string& subject, const std::string& digest,
                    std::vector<std::pair<std::string, std::string>> attrs = {});
-  /// Emits RunFinished with a snapshot of every nonzero counter/gauge
-  /// appended to `attrs` as "counter.<name>" / "gauge.<name>" pairs.
+  /// Emits RunFinished with `states` and every nonzero counter/gauge of
+  /// this run (counters since run_started, gauge peaks since then) appended
+  /// to `attrs` as "counter.<name>" / "gauge.<name>" pairs. The recorder's
+  /// totals stay cumulative.
   void run_finished(bool passed, double seconds,
                     std::vector<std::pair<std::string, std::string>> attrs = {});
 
@@ -269,6 +291,7 @@ class Observer {
   std::vector<std::shared_ptr<EventSink>> sinks_;
   std::string current_phase_;  // last-begun phase, for progress labeling
   std::chrono::steady_clock::time_point run_start_;
+  std::array<std::uint64_t, kCounterCount> run_base_{};  // totals at start
   std::chrono::steady_clock::time_point phase_start_;
   std::atomic<std::int64_t> next_progress_ns_{0};
   std::atomic<std::int64_t> interval_ns_{1'000'000'000};

@@ -203,6 +203,19 @@ void Session::attach_ledger(std::shared_ptr<obs::LedgerSink> sink) {
   obs_.add_sink(std::move(sink));
 }
 
+reduce::VerificationCache* Session::verdict_cache_for_run() {
+  if (cfg_.shared_cache != nullptr) return cfg_.shared_cache;
+  if (cfg_.cache_dir.empty()) return nullptr;
+  // A new directory loads its own file, so a fresh one is a cold cache.
+  if (cache_ == nullptr || cache_dir_ != cfg_.cache_dir) {
+    cache_ = std::make_unique<reduce::VerificationCache>(cfg_.cache_dir);
+    cache_dir_ = cfg_.cache_dir;
+  } else {
+    cache_->refresh();
+  }
+  return cache_.get();
+}
+
 RunReport Session::begin_run(const std::string& subject, const char* mode) {
   ++runs_;
   RunReport rep;
@@ -271,6 +284,7 @@ RunReport Session::verify(const Architecture& arch) {
   RunReport rep = begin_run(arch.name(), "suite");
   SuiteOptions sopt = cfg_.suite_options();
   sopt.verify.obs = &obs_;
+  sopt.cache = verdict_cache_for_run();
   const SuiteReport s = verify_obligations(arch, sopt, &gen_);
   rep.gen_stats = s.gen_stats;
   rep.reduction = s.reduction;

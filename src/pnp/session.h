@@ -3,7 +3,7 @@
 // Historically every entry point grew its own option struct (VerifyOptions,
 // SuiteOptions, ResilienceOptions, ltl::CheckOptions) and its own report
 // type, and every frontend (pnpv, the examples) re-plumbed budgets,
-// generator reuse and property texts by hand. A Session owns the three
+// generator reuse and property texts by hand. A Session owns the four
 // things a design-iterate-verify loop actually shares across runs:
 //
 //   * one RunConfig  -- the single source of truth for budgets, search
@@ -15,7 +15,11 @@
 //     edits between runs, exactly as the paper's iteration loop assumes.
 //   * one obs::Observer -- counters, phase timers, the TTY heartbeat and
 //     the JSONL run ledger (see obs/obs.h) are attached once and every
-//     run on the session is recorded through them.
+//     run on the session is recorded through them. Its footprint stays
+//     flat however many runs the session makes.
+//   * one resident verdict cache -- RunConfig::cache_dir's file is read
+//     once and kept loaded between verifies, re-read only when the
+//     directory changes or another writer replaces the file.
 //
 // Each verify* call returns a RunReport: a flat list of RunChecks that
 // subsumes the SafetyOutcome / SuiteReport / ResilienceReport stats
@@ -67,7 +71,10 @@ struct RunConfig : ExecBudget {
   bool connector_protocols = true;
 
   // -- persistence + observability --
-  std::string cache_dir;   // verdict cache; empty = recompute everything
+  /// Verdict cache; empty = recompute everything. A Session keeps it loaded
+  /// between verifies and re-reads it only when this changes or another
+  /// writer replaces the file (VerificationCache::refresh).
+  std::string cache_dir;
   /// Caller-owned verdict cache taking precedence over cache_dir (see
   /// SuiteOptions::cache): pnpd points every worker's session here so the
   /// whole pool shares one store. Not owned; excluded from digest() like
@@ -156,6 +163,12 @@ class Session {
   /// Path of the JSONL ledger, once a run has been recorded to one.
   const std::string& ledger_path() const { return ledger_path_; }
 
+  /// The verdict cache kept loaded for config().cache_dir between verifies
+  /// (null until a verify() used one; a shared_cache is never loaded here).
+  const reduce::VerificationCache* verdict_cache() const {
+    return cache_.get();
+  }
+
   /// Record runs through a caller-constructed ledger sink instead of
   /// opening one from config().ledger_dir. pnpd uses this to point every
   /// worker session at the daemon's shared ledger file (each worker gets
@@ -227,6 +240,9 @@ class Session {
 
  private:
   void ensure_sinks();
+  /// The cache for this verify: the caller's shared_cache, else the
+  /// resident cache of cfg_.cache_dir (loaded or refreshed), else null.
+  reduce::VerificationCache* verdict_cache_for_run();
   RunReport begin_run(const std::string& subject, const char* mode);
   /// Seals the report (verdict, wall time), writes trail files for failed
   /// checks, and emits RunFinished (which flushes the ledger record).
@@ -239,6 +255,8 @@ class Session {
   bool sinks_ready_ = false;
   std::string ledger_path_;
   std::shared_ptr<obs::LedgerSink> ledger_sink_;
+  std::unique_ptr<reduce::VerificationCache> cache_;
+  std::string cache_dir_;  // the directory cache_ was loaded from
   int runs_ = 0;  // per-session run ordinal, names trail files
 };
 

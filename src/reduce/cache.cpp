@@ -1,5 +1,7 @@
 #include "reduce/cache.h"
 
+#include <sys/stat.h>
+
 #include <cctype>
 #include <cstdio>
 #include <filesystem>
@@ -113,24 +115,12 @@ class JsonReader {
   std::size_t i_{0};
 };
 
-}  // namespace
-
-std::string ObligationKey::digest() const {
-  return kind + ":" + hex16(slice_hash) + "-" + hex16(property_hash) + "-" +
-         hex16(options_hash);
-}
-
-VerificationCache::VerificationCache(const std::string& dir) {
-  PNP_CHECK(!dir.empty(), "VerificationCache: empty cache directory");
-  std::filesystem::create_directories(dir);
-  file_ = (std::filesystem::path(dir) / "obligations.json").string();
-  std::ifstream in(file_);
-  if (!in) return;  // fresh cache
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  if (text.empty()) return;
-
+/// The entries of a cache file's text; raises ModelError when the text is
+/// malformed. A file of another format version holds none.
+std::unordered_map<std::string, CacheEntry> parse_entries(
+    const std::string& text) {
+  std::unordered_map<std::string, CacheEntry> entries;
+  if (text.empty()) return entries;
   JsonReader r(text);
   r.expect('{');
   int version = -1;
@@ -139,11 +129,11 @@ VerificationCache::VerificationCache(const std::string& dir) {
     r.expect(':');
     if (key == "version") {
       version = std::stoi(r.scalar());
-      if (version != kCacheFormatVersion) return;  // stale format: ignore
+      if (version != kCacheFormatVersion) return {};  // stale format
     } else if (key == "obligations") {
       r.expect('[');
       if (!r.eat(']')) {
-        entries_.reserve(64);  // typical suite: a few dozen obligations
+        entries.reserve(64);  // typical suite: a few dozen obligations
         do {
           r.expect('{');
           CacheEntry e;
@@ -161,7 +151,7 @@ VerificationCache::VerificationCache(const std::string& dir) {
             else r.scalar();
           } while (r.eat(','));
           r.expect('}');
-          if (!e.digest.empty()) entries_[e.digest] = std::move(e);
+          if (!e.digest.empty()) entries[e.digest] = std::move(e);
         } while (r.eat(','));
         r.expect(']');
       }
@@ -173,6 +163,60 @@ VerificationCache::VerificationCache(const std::string& dir) {
     if (!r.eat(',')) break;
   }
   r.expect('}');
+  return entries;
+}
+
+}  // namespace
+
+std::string ObligationKey::digest() const {
+  return kind + ":" + hex16(slice_hash) + "-" + hex16(property_hash) + "-" +
+         hex16(options_hash);
+}
+
+VerificationCache::VerificationCache(const std::string& dir) {
+  PNP_CHECK(!dir.empty(), "VerificationCache: empty cache directory");
+  std::filesystem::create_directories(dir);
+  file_ = (std::filesystem::path(dir) / "obligations.json").string();
+  load();
+}
+
+VerificationCache::FileStamp VerificationCache::stamp_of(
+    const std::string& path) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) return {};
+#if defined(_WIN32)
+  const std::int64_t mtime_ns = static_cast<std::int64_t>(st.st_mtime) *
+                                1'000'000'000;
+#else
+  const std::int64_t mtime_ns =
+      static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1'000'000'000 +
+      st.st_mtim.tv_nsec;
+#endif
+  return {static_cast<std::uint64_t>(st.st_dev),
+          static_cast<std::uint64_t>(st.st_ino),
+          static_cast<std::uint64_t>(st.st_size), mtime_ns};
+}
+
+bool VerificationCache::refresh() {
+  if (!enabled()) return false;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (stamp_of(file_) == stamp_) return false;
+  load();
+  return true;
+}
+
+void VerificationCache::load() {
+  ++loads_;
+  // Stamped before reading: should the file be replaced in between, the
+  // stamp is the older one and the next refresh() reads the file again.
+  const FileStamp stamp = stamp_of(file_);
+  std::ifstream in(file_);
+  std::ostringstream ss;
+  if (in) ss << in.rdbuf();
+  entries_ = parse_entries(ss.str());
+  stamp_ = stamp;
+  dirty_ = false;
+  persist_failed_ = false;
 }
 
 std::optional<CacheEntry> VerificationCache::lookup(const ObligationKey& key) {
@@ -234,9 +278,13 @@ bool VerificationCache::flush() const {
       out.write(text.data(), static_cast<std::streamsize>(text.size()));
       out.close();
       if (out) {
+        // A rename keeps the inode, size and mtime: this is the identity
+        // of the file once committed, so refresh() knows it as ours.
+        const FileStamp written = stamp_of(tmp);
         std::error_code ec;
         std::filesystem::rename(tmp, file_, ec);
         if (!ec) {
+          stamp_ = written;
           dirty_ = false;
           return true;
         }

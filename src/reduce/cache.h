@@ -65,6 +65,10 @@ struct CacheEntry {
 /// daemon (SuiteOptions::cache) -- the whole point of the shared cache is
 /// that a connector swap submitted by any client re-verifies only the
 /// dirtied slices, whichever worker got the job.
+///
+/// A cache may stay loaded across verifies (pnp::Session keeps one per
+/// cache_dir): refresh() re-reads the file only when another writer has
+/// replaced it since this cache last read or wrote it.
 class VerificationCache {
  public:
   VerificationCache() = default;
@@ -75,6 +79,21 @@ class VerificationCache {
 
   bool enabled() const { return !file_.empty(); }
   const std::string& path() const { return file_; }
+
+  /// Re-reads the file when its identity (device, inode, size, mtime)
+  /// differs from the file this cache last read or wrote: another process
+  /// committed its own temp file + rename, or the file appeared or went
+  /// away. This cache's own flushes never trigger a re-read. A re-read
+  /// replaces the entries with the file's and clears the dirty and
+  /// persist_failed marks, exactly as constructing the cache anew would.
+  /// Returns whether it re-read; raises ModelError like the constructor.
+  bool refresh();
+  /// How many times the file has been read: 1 after construction, plus
+  /// one per refresh() that re-read it.
+  int loads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return loads_;
+  }
 
   /// Returns the stored verdict for `key`, if any, and counts a hit or a
   /// miss (the hit-rate statistics the bench and reports surface).
@@ -88,12 +107,16 @@ class VerificationCache {
   /// record() since the last successful flush changed an entry: a verify
   /// answered wholly from the cache touches no file. A short write or
   /// rename failure (disk full, permissions) is retried a bounded number
-  /// of times, then the cache degrades to uncached for the rest of the
-  /// process: in-memory entries keep serving lookups, later flushes are
+  /// of times, then the cache degrades to uncached (see persist_failed()):
+  /// in-memory entries keep serving lookups, later flushes are
   /// skipped, and false is returned so the caller can surface an incident.
   /// No-op (true) when disabled.
   bool flush() const;
-  /// True once a flush has permanently failed (see flush()).
+  /// True once a flush has permanently failed (see flush()). The mark lasts
+  /// as long as the loaded entries: for pnpd's shared cache, the daemon's
+  /// life; for a Session's resident cache, until the session loads the file
+  /// again (its cache_dir changes, or refresh() finds the file replaced by
+  /// another writer).
   bool persist_failed() const {
     std::lock_guard<std::mutex> lock(mu_);
     return persist_failed_;
@@ -113,11 +136,29 @@ class VerificationCache {
   }
 
  private:
-  /// Guards entries_ and the statistics; file_ is immutable after
-  /// construction. Mutable so flush() and the accessors stay const.
+  /// What identifies one version of the file: a rewrite (temp file +
+  /// rename) gives it a new inode, an edit in place a new size or mtime.
+  /// All zero for a missing file.
+  struct FileStamp {
+    std::uint64_t device{0};
+    std::uint64_t inode{0};
+    std::uint64_t size{0};
+    std::int64_t mtime_ns{0};
+    bool operator==(const FileStamp&) const = default;
+  };
+  static FileStamp stamp_of(const std::string& path);
+  /// Replaces the entries with the file's (mu_ held, or construction).
+  void load();
+
+  /// Guards entries_, the stamp and the statistics; file_ is immutable
+  /// after construction. Mutable so flush() and the accessors stay const.
   mutable std::mutex mu_;
   std::string file_;
   std::unordered_map<std::string, CacheEntry> entries_;
+  /// The file as this cache last read or wrote it; mutable because flush()
+  /// records the file it committed.
+  mutable FileStamp stamp_;
+  int loads_{0};
   int hits_{0};
   int misses_{0};
   /// Set by a record() that changed an entry, cleared by a successful

@@ -1,15 +1,19 @@
 // Observability-layer tests: the JSONL ledger schema round-trip, TTY
 // suppression of the heartbeat, recorder merge determinism across thread
-// counts, and pnp::Session verdict equivalence with the legacy entry
-// points on the fig13/fig14 bridge models.
+// counts and across block folds, pnp::Session verdict equivalence with the
+// legacy entry points on the fig13/fig14 bridge models, and a long-lived
+// session's per-run ledger records, flat footprint and budgets.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "adl/adl.h"
@@ -18,6 +22,7 @@
 #include "obs/obs.h"
 #include "pml/parser.h"
 #include "pnp/pnp.h"
+#include "support/json.h"
 
 namespace pnp {
 namespace {
@@ -161,6 +166,42 @@ TEST(Recorder, MergeIsDeterministicAcrossThreadCounts) {
   }
 }
 
+TEST(Recorder, PolledTotalsNeverDropWhileWorkersFold) {
+  // Each worker of a 4-thread exact search folds its block into the base
+  // block when the search ends; a reader polling meanwhile must see the
+  // totals only grow, and the final total must equal the search's Stats.
+  bridge::BridgeConfig cfg;
+  ModelGenerator gen;
+  Architecture arch = bridge::make_v1(cfg);
+  const kernel::Machine m = gen.generate(arch, {.optimize_connectors = true});
+  obs::Observer ob;
+  std::atomic<bool> done{false};
+  std::uint64_t polls = 0, drops = 0;
+  std::thread poller([&] {
+    std::uint64_t last = 0;
+    while (!done.load()) {
+      const std::uint64_t now = ob.recorder().total(obs::Counter::StatesStored);
+      drops += now < last ? 1 : 0;
+      last = now;
+      ++polls;
+    }
+  });
+  std::uint64_t stored = 0;
+  for (int run = 0; run < 3; ++run) {
+    explore::Options opt;
+    opt.threads = 4;
+    opt.obs = &ob;
+    const explore::Result r = explore::explore(m, opt);
+    ASSERT_TRUE(r.stats.complete);
+    stored += r.stats.states_stored;
+  }
+  done.store(true);
+  poller.join();
+  EXPECT_GT(polls, 0u);
+  EXPECT_EQ(drops, 0u);
+  EXPECT_EQ(ob.recorder().total(obs::Counter::StatesStored), stored);
+}
+
 TEST(Recorder, StatsThroughputGuardsSubMillisecondRuns) {
   explore::Stats st;
   st.states_stored = 100;
@@ -300,6 +341,15 @@ TEST(Session, DefaultsToBytecodeWithTheInterpretersVerdicts) {
 
 // -- Session end-to-end: ledger + trail files ----------------------------------
 
+/// A ledger record's `key` object (counters or gauges) as name -> value.
+std::map<std::string, double> numbers(const json::Value& record,
+                                      const char* key) {
+  std::map<std::string, double> out;
+  if (const json::Value* o = record.get(key))
+    for (const auto& [name, v] : o->obj) out[name] = v.num;
+  return out;
+}
+
 TEST(Session, WritesValidLedgerAndTrailOnFailure) {
   // A model with a real assertion violation, so the run fails and a trail
   // file is written next to the ledger.
@@ -343,6 +393,95 @@ TEST(Session, WritesValidLedgerAndTrailOnFailure) {
   const std::vector<std::string> lines2 = ledger_lines(rep.ledger_path);
   ASSERT_EQ(lines2.size(), 2u);
   EXPECT_TRUE(obs::validate_ledger_record(lines2[1], &err)) << err;
+
+  // ... whose counts are the second run's own, not the session's totals
+  json::Value first, second;
+  ASSERT_TRUE(json::parse(lines2[0], first, &err)) << err;
+  ASSERT_TRUE(json::parse(lines2[1], second, &err)) << err;
+  ASSERT_GT(rep2.checks[0].states_stored, 0u);
+  EXPECT_EQ(second.num_or("states"),
+            static_cast<double>(rep2.checks[0].states_stored));
+  EXPECT_EQ(second.num_or("states"), first.num_or("states"));
+  const json::Value* counters = second.get("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_EQ(counters->num_or("states_stored"), second.num_or("states"));
+  EXPECT_EQ(counters->num_or("obligations_verified"), 1.0);
+  EXPECT_EQ(numbers(second, "counters"), numbers(first, "counters"));
+  EXPECT_EQ(numbers(second, "gauges"), numbers(first, "gauges"));
+  // the recorder itself keeps counting the whole session
+  EXPECT_EQ(session.observer().recorder().total(obs::Counter::StatesStored),
+            2 * rep2.checks[0].states_stored);
+}
+
+// -- long-lived sessions: no cost for history -----------------------------------
+
+/// Runs a two-state model through `session` `n` times: cheap runs that each
+/// open a search block and a ladder phase on the session's observer.
+RunReport age(Session& session, int n) {
+  static model::SystemSpec sys = pml::parse(R"(
+    byte x;
+    active proctype Once() { x = 1 }
+  )");
+  static const kernel::Machine m(sys);
+  RunReport last;
+  for (int i = 0; i < n; ++i)
+    last = session.verify_machine(m, "once.pml", [](const std::string& t) {
+      return pml::parse_global_expr(sys, t);
+    });
+  return last;
+}
+
+/// The fixed N=1 bridge (28,251 states) under a 4 MiB budget that stops it
+/// part way, the ladder's bitstate rung off.
+RunReport budgeted_bridge(Session& s) {
+  s.config().memory_budget_bytes = std::uint64_t{4} << 20;
+  s.config().degrade = false;
+  s.config().invariant_text =
+      "!(blue_on_bridge > 0 && red_on_bridge > 0) && "
+      "blue_on_bridge <= 1 && red_on_bridge <= 1";
+  bridge::BridgeConfig bc;
+  bc.batch_n = 1;
+  bc.buggy_async_enter = true;
+  Architecture arch = bridge::make_v1(bc);
+  bridge::apply_v1_fix(arch, bc);
+  ModelGenerator& gen = s.generator();
+  const kernel::Machine m = gen.generate(arch, {.optimize_connectors = true});
+  return s.verify_machine(m, arch.name(), [&gen](const std::string& t) {
+    return gen.parse_expr_text(t).ref;
+  });
+}
+
+TEST(Session, AgedBudgetedSearchStoresWhatAFreshOneDoes) {
+  // The governor charges the observer's footprint to every memory check, so
+  // a footprint that grew with the session's history would stop an aged
+  // session's search earlier than a fresh one's.
+  Session fresh(quiet_config());
+  const RunReport want = budgeted_bridge(fresh);
+  ASSERT_EQ(want.checks.size(), 1u);
+  ASSERT_GT(want.checks[0].states_stored, 0u);
+  ASSERT_LT(want.checks[0].states_stored, 28'251u) << "the budget must bind";
+
+  Session aged(quiet_config());
+  age(aged, 8'000);
+  const RunReport got = budgeted_bridge(aged);
+  ASSERT_EQ(got.checks.size(), 1u);
+  EXPECT_EQ(got.checks[0].states_stored, want.checks[0].states_stored);
+  EXPECT_EQ(got.checks[0].passed, want.checks[0].passed);
+  EXPECT_EQ(got.checks[0].stage, want.checks[0].stage);
+}
+
+TEST(Session, AgedFootprintStaysBounded) {
+  Session session(quiet_config());
+  const RunReport one = age(session, 10);
+  const std::uint64_t per_run = one.checks.at(0).states_stored;
+  ASSERT_GT(per_run, 0u);
+  const std::uint64_t after10 = session.observer().approx_bytes();
+  age(session, 990);
+  EXPECT_LE(session.observer().approx_bytes(), after10);
+  // session-lifetime totals stay exact
+  const obs::Recorder& rec = session.observer().recorder();
+  EXPECT_EQ(rec.total(obs::Counter::StatesStored), 1'000 * per_run);
+  EXPECT_EQ(rec.total(obs::Counter::ObligationsVerified), 1'000u);
 }
 
 TEST(Session, ConfigDigestCoversVerdictRelevantFieldsOnly) {

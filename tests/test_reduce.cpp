@@ -460,6 +460,86 @@ TEST(Cache, AllHitVerifyLeavesTheFileUntouched) {
   EXPECT_EQ(reload.size(), 6u + 4u);  // the swap added 4 obligations
 }
 
+RunConfig rpc_session(const std::string& cache_dir) {
+  RunConfig cfg;
+  cfg.max_states = 2'000'000;
+  cfg.minimize = MinimizeMode::Weak;
+  cfg.invariant_text = "c0_done <= 1";
+  cfg.end_invariant_text = "c0_done == 1 && c1_done == 1";
+  cfg.cache_dir = cache_dir;
+  cfg.heartbeat = false;
+  return cfg;
+}
+
+TEST(Cache, ResidentCacheIsNotReloadedForItsOwnFlushes) {
+  CacheDir dir("pnp_test_cache_resident_own");
+  Session session(rpc_session(dir.path()));
+  EXPECT_EQ(session.verdict_cache(), nullptr);
+  Architecture arch = rpc();
+  const RunReport cold = session.verify(arch);
+  ASSERT_TRUE(cold.passed) << cold.report();
+  ASSERT_EQ(cold.cache_hits(), 0);
+  const reduce::VerificationCache* cache = session.verdict_cache();
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->loads(), 1);
+  EXPECT_EQ(cache->size(), 6u);
+
+  // The cold run's flush, a warm run, and a swap that records and flushes
+  // again: the file is only ever this session's own, so it is read once.
+  const RunReport warm = session.verify(arch);
+  EXPECT_EQ(warm.recomputed(), 0) << warm.report();
+  arch.set_channel(arch.find_connector("Reply1"), {ChannelKind::Fifo, 2});
+  const RunReport swapped = session.verify(arch);
+  EXPECT_EQ(swapped.recomputed(), 4) << swapped.report();
+  arch.set_channel(arch.find_connector("Reply1"), {ChannelKind::SingleSlot, 1});
+  const RunReport back = session.verify(arch);
+  EXPECT_EQ(back.recomputed(), 0) << back.report();
+  EXPECT_EQ(session.verdict_cache(), cache);
+  EXPECT_EQ(cache->loads(), 1);
+  EXPECT_EQ(cache->size(), 10u);
+
+  // A new cache_dir is a new, cold cache.
+  CacheDir next("pnp_test_cache_resident_next");
+  session.config().cache_dir = next.path();
+  const RunReport fresh = session.verify(arch);
+  EXPECT_EQ(fresh.cache_hits(), 0) << fresh.report();
+  EXPECT_EQ(session.verdict_cache()->loads(), 1);
+  EXPECT_EQ(session.verdict_cache()->size(), 6u);
+}
+
+TEST(Cache, ResidentCacheSeesEntriesOtherWritersAdd) {
+  CacheDir dir("pnp_test_cache_resident_others");
+  Session first(rpc_session(dir.path()));
+  const Architecture arch = rpc();
+  ASSERT_EQ(first.verify(arch).cache_hits(), 0);
+
+  // A second Session on the same directory verifies a swapped design ...
+  Architecture swapped = rpc();
+  swapped.set_channel(swapped.find_connector("Reply1"), {ChannelKind::Fifo, 2});
+  Session second(rpc_session(dir.path()));
+  ASSERT_EQ(second.verify(swapped).recomputed(), 4);
+  // ... and the first session's next verify answers it from the cache.
+  const RunReport replay = first.verify(swapped);
+  EXPECT_EQ(replay.recomputed(), 0) << replay.report();
+  EXPECT_EQ(first.verdict_cache()->loads(), 2);
+
+  // So are the verdicts a bare VerificationCache commits (verify_obligations
+  // without a Session opens one on the directory).
+  Architecture third = rpc();
+  third.set_channel(third.find_connector("Reply0"), {ChannelKind::Fifo, 2});
+  ASSERT_EQ(verify_obligations(third, rpc_suite(dir.path())).recomputed(), 4);
+  const RunReport replay3 = first.verify(third);
+  EXPECT_EQ(replay3.recomputed(), 0) << replay3.report();
+  EXPECT_EQ(first.verdict_cache()->loads(), 3);
+  EXPECT_EQ(first.verdict_cache()->size(), 6u + 4u + 4u);
+
+  // A replaced file that no longer holds a verdict is a miss again.
+  std::filesystem::remove(dir.path() + "/obligations.json");
+  const RunReport gone = first.verify(arch);
+  EXPECT_EQ(gone.cache_hits(), 0) << gone.report();
+  EXPECT_EQ(first.verdict_cache()->loads(), 4);
+}
+
 // pnpd workers share one cache: records, lookups and flushes race on the
 // entries and on the dirty state that decides whether a flush writes.
 // Run under TSan by scripts/check.sh --tsan.
