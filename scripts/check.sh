@@ -40,10 +40,13 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # Recorder folds every search's counter block into its base block while
   # other threads read the totals (a 4-thread search under a polling
   # reader), and Session.Aged runs thousands of searches on one observer.
+  # Compress.Concurrent has four threads intern through the 16-stripe
+  # compressor that every parallel worker shares.
   cmake -B build-tsan -S . -DPNP_SANITIZE=thread
   cmake --build build-tsan -j "$(nproc)" --target test_parallel test_explore \
-    test_serve test_codegen test_reduce test_ltl test_durable test_obs pnpv
+    test_serve test_codegen test_reduce test_ltl test_durable test_obs \
+    test_compress pnpv
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-      -R 'Parallel|Swarm|Explore|Serve|pnpv\.threads|EnginePor|EngineExplore|EngineLtl|Cache|Budget|Spill|Resume|Recorder|Session\.Aged'
+      -R 'Parallel|Swarm|Explore|Serve|pnpv\.threads|EnginePor|EngineExplore|EngineLtl|Cache|Budget|Spill|Resume|Recorder|Session\.Aged|Compress\.Concurrent'
 fi

@@ -19,7 +19,6 @@
 #include <string>
 #include <system_error>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -37,7 +36,7 @@ namespace fs = std::filesystem;
 // Bump whenever the generated code's SHAPE changes (new helpers, different
 // specialization decisions) even if the ABI is unchanged: the emitter
 // version is part of the cache key, so old artifacts simply stop matching.
-constexpr int kEmitterVersion = 5;
+constexpr int kEmitterVersion = 6;
 
 std::string hex64(std::uint64_t v) {
   char buf[17];
@@ -172,25 +171,6 @@ class AotEngine final : public Engine {
     const std::uint32_t r = mod_->visit_of(&ctx, pid);
     finish(s, scratch);
     return (r & 1u) != 0;
-  }
-
-  bool encode_support() const override { return mod_->dirty_mask != nullptr; }
-
-  std::uint64_t dirty_regions(const std::pair<int, kernel::Value>* undo,
-                              std::size_t n) const override {
-    // The undo log's (slot, previous value) pairs cross the C ABI as a flat
-    // i32 array with stride 2, slot first.
-    static_assert(sizeof(std::pair<int, kernel::Value>) ==
-                      2 * sizeof(std::int32_t),
-                  "undo entries must be two packed i32s for the C ABI");
-    static_assert(std::is_standard_layout_v<std::pair<int, kernel::Value>>,
-                  "undo entries must be standard-layout for the C ABI");
-    return mod_->dirty_mask(reinterpret_cast<const std::int32_t*>(undo),
-                            static_cast<std::int32_t>(n), 2);
-  }
-
-  std::uint64_t region_hash(const kernel::Value* mem, int r) const override {
-    return mod_->region_hash(mem, static_cast<std::int32_t>(r));
   }
 
  private:

@@ -63,6 +63,9 @@ struct pnp_aot_ctx {
   void (*trap)(pnp_aot_ctx*, const char*);
 };
 
+// The module exports successor generation only; COLLAPSE compression of
+// what it emits (dirty regions from the undo log, their hashes, interning)
+// is host code, so no host hash function is replicated here.
 struct pnp_aot_module_v1 {
   std::int32_t abi_version;
   std::int32_t state_size;
@@ -71,25 +74,13 @@ struct pnp_aot_module_v1 {
   // sink aborted generation.
   std::uint32_t (*visit_all)(pnp_aot_ctx*);
   std::uint32_t (*visit_of)(pnp_aot_ctx*, std::int32_t pid);
-  // Layout-specialized store-path helpers; both null when the layout has
-  // more than 64 COLLAPSE regions (the host's mask-based delta path is
-  // capped there and falls back to the generic compressor).
-  //   * dirty_mask folds undo-log slot indices (`n` entries read at the
-  //     given stride, in i32 units, slot index first) into a bitmask of the
-  //     regions owning them, via a generated constant slot->mask table.
-  //   * region_hash replicates the host's fast_hash64 over region r's value
-  //     span in `mem` -- bit-exact, because the host compressor derives
-  //     component ids and stripe placement from this hash.
-  std::uint64_t (*dirty_mask)(const std::int32_t* slots, std::int32_t n,
-                              std::int32_t stride);
-  std::uint64_t (*region_hash)(const std::int32_t* mem, std::int32_t r);
 };
 
 }  // extern "C"
 
 namespace pnp::codegen {
 
-inline constexpr std::int32_t kAotAbiVersion = 3;
+inline constexpr std::int32_t kAotAbiVersion = 4;
 
 /// Name of the module's single exported symbol.
 inline constexpr const char* kAotEntrySymbol = "pnp_aot_module";

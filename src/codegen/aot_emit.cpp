@@ -18,13 +18,15 @@
 //     delta compression and the differential tests see the same log.
 //
 // The module is split so the host can compile it in parallel. Unit 0, the
-// dispatch unit, holds the entry point, visit_all/visit_of/expand_pid, the
-// encode helpers and do_emit; the expand_pN functions are bin-packed by
-// emitted size over at most `max_units` units (and at most one per
-// process). Cross-unit functions have hidden visibility, so the linked .so
-// still exports only the entry point. do_emit -- skip check, step fill, host callback, revert loop --
-// is one out-of-line function rather than code copied into every
+// dispatch unit, holds the entry point, visit_all/visit_of/expand_pid and
+// do_emit; the expand_pN functions are bin-packed by emitted size over at
+// most `max_units` units (and at most one per process). Cross-unit
+// functions have hidden visibility, so the linked .so still exports only
+// the entry point. do_emit -- skip check, step fill, host callback, revert
+// loop -- is one out-of-line function rather than code copied into every
 // candidate: that copy was most of the module's size and compile time.
+// The module only generates successors: the host compresses them (COLLAPSE
+// delta keys from the undo log), so nothing here mirrors host hashing.
 //
 // Single-buffer soundness: within one candidate every read (guards, send
 // fields, recv matches, partner pcs) happens before the first write, and
@@ -93,9 +95,6 @@ struct pnp_aot_module_v1 {
   const char* source_digest;
   std::uint32_t (*visit_all)(pnp_aot_ctx*);
   std::uint32_t (*visit_of)(pnp_aot_ctx*, std::int32_t pid);
-  std::uint64_t (*dirty_mask)(const std::int32_t* slots, std::int32_t n,
-                              std::int32_t stride);
-  std::uint64_t (*region_hash)(const std::int32_t* mem, std::int32_t r);
 };
 
 }  // extern "C"
@@ -178,49 +177,15 @@ inline bool msg_eq(const i32* a, const i32* b, i32 arity) {
 }  // namespace
 )";
 
-// Dispatch unit only: the revert loop, the out-of-line do_emit that every
-// candidate in every unit calls, and the region hash.
+// Dispatch unit only: the revert loop and the out-of-line do_emit that
+// every candidate in every unit calls.
 constexpr const char* kDispatchText = R"(
 namespace {
-
-using u64 = std::uint64_t;
 
 inline void revert(pnp_aot_ctx* c) {
   for (i32 i = c->undo_len; i-- > 0;) c->mem[c->undo_slot[i]] = c->undo_val[i];
   c->undo_len = 0;
   c->atomic_pid = c->src_atomic;
-}
-
-inline u64 hash_avalanche(u64 x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdull;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ull;
-  x ^= x >> 33;
-  return x;
-}
-
-// Bit-exact replica of the host's fast_hash64 (support/hash.h): the host
-// compressor derives component ids, fingerprints, and stripe placement from
-// this hash, so any drift would split identical components across stripes.
-inline u64 hash_span(const unsigned char* p, u64 n) {
-  const u64 kMul = 0x9ddfea08eb382d69ull;
-  u64 h = 0x9e3779b97f4a7c15ull ^ (n * 0x100000001b3ull);
-  while (n >= 8) {
-    u64 w;
-    __builtin_memcpy(&w, p, 8);
-    h = (h ^ w) * kMul;
-    h ^= h >> 29;
-    p += 8;
-    n -= 8;
-  }
-  if (n > 0) {
-    u64 w = 0;
-    __builtin_memcpy(&w, p, n);
-    h = (h ^ w) * kMul;
-    h ^= h >> 29;
-  }
-  return hash_avalanche(h);
 }
 
 }  // namespace
@@ -434,7 +399,6 @@ class Emitter {
       emit_expand(pid);
       expand.push_back(std::exchange(out_, {}));
     }
-    emit_encode();
     emit_entry();
     std::vector<std::string> body(
         static_cast<std::size_t>(std::clamp(max_units, 1, std::max(n, 1))));
@@ -853,46 +817,6 @@ class Emitter {
     close();  // block
   }
 
-  /// Layout-specialized store-path helpers: the compressor's generic
-  /// slot -> region indirection becomes a constant mask table, and each
-  /// region's hash loop becomes a constant-length hash_span call the
-  /// compiler unrolls. Skipped (null module entries, host falls back to the
-  /// generic path) for layouts past the 64-region mask cap.
-  void emit_encode() {
-    const auto regions = lay_.regions();
-    if (regions.empty() || regions.size() > 64 || lay_.size() <= 0) return;
-    encode_supported_ = true;
-    std::string tbl = "static const u64 kSlotMask[" + num(lay_.size()) +
-                      "] = {";
-    std::vector<std::uint64_t> mask(static_cast<std::size_t>(lay_.size()), 0);
-    for (std::size_t k = 0; k < regions.size(); ++k)
-      for (int i = 0; i < regions[k].second; ++i)
-        mask[static_cast<std::size_t>(regions[k].first + i)] =
-            std::uint64_t{1} << k;
-    for (std::size_t i = 0; i < mask.size(); ++i) {
-      if (i) tbl += ", ";
-      tbl += std::to_string(mask[i]) + "ull";
-    }
-    tbl += "};";
-    line(tbl);
-    open("static u64 dirty_mask(const i32* slots, i32 n, i32 stride) {");
-    line("u64 acc = 0;");
-    line("for (i32 i = 0; i < n; ++i) acc |= kSlotMask[slots[i * stride]];");
-    line("return acc;");
-    close();
-    out_ += "\n";
-    open("static u64 region_hash(const i32* mem, i32 r) {");
-    open("switch (r) {");
-    for (std::size_t k = 0; k < regions.size(); ++k)
-      line("case " + num(static_cast<long long>(k)) +
-           ": return hash_span(reinterpret_cast<const unsigned char*>(mem + " +
-           num(regions[k].first) + "), " + num(regions[k].second * 4) + ");");
-    line("default: return 0;");
-    close();
-    close();
-    out_ += "\n";
-  }
-
   void emit_entry() {
     const int n = m_.n_processes();
     open("static u32 expand_pid(pnp_aot_ctx* c, i32 pid) {");
@@ -940,10 +864,8 @@ class Emitter {
     return "\nextern \"C\" pnp_aot_module_v1* pnp_aot_module() {\n"
            "  static pnp_aot_module_v1 mod = {" +
            num(kAotAbiVersion) + ", " + num(lay_.size()) +
-           ", pnp_gen::kDigest, &pnp_gen::visit_all, &pnp_gen::visit_of, " +
-           (encode_supported_ ? "&pnp_gen::dirty_mask, &pnp_gen::region_hash"
-                              : "nullptr, nullptr") +
-           "};\n  return &mod;\n}\n";
+           ", pnp_gen::kDigest, &pnp_gen::visit_all, &pnp_gen::visit_of};\n"
+           "  return &mod;\n}\n";
   }
 
   static const char* op_name(OpKind op) {
@@ -969,7 +891,6 @@ class Emitter {
   std::vector<CxxExpr> ex_;
   std::string out_;
   int indent_{0};
-  bool encode_supported_{false};
 };
 
 }  // namespace

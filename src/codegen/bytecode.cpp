@@ -26,7 +26,6 @@
 #include "codegen/fold.h"
 #include "codegen/rendezvous.h"
 #include "compile/compiler.h"
-#include "support/hash.h"
 #include "support/panic.h"
 
 namespace pnp::codegen {
@@ -948,48 +947,8 @@ class BytecodeEngine final : public Engine {
     return gen.expand(pid);
   }
 
-  bool encode_support() const override { return encode_.supported; }
-
-  std::uint64_t dirty_regions(const std::pair<int, Value>* undo,
-                              std::size_t n) const override {
-    std::uint64_t mask = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      mask |= encode_.slot_mask[static_cast<std::size_t>(undo[i].first)];
-    return mask;
-  }
-
-  std::uint64_t region_hash(const Value* mem, int r) const override {
-    const auto& [begin, width] = encode_.regions[static_cast<std::size_t>(r)];
-    return pnp::fast_hash64(
-        {reinterpret_cast<const std::uint8_t*>(mem + begin),
-         static_cast<std::size_t>(width) * sizeof(Value)});
-  }
-
  private:
-  // Store-path tables: a flat slot -> region bitmask (replacing the generic
-  // compressor's slot -> region-index indirection plus dirty-byte array)
-  // and the region spans for hashing. Built once per engine.
-  struct EncodeTables {
-    bool supported = false;
-    std::vector<std::uint64_t> slot_mask;       // per state slot
-    std::vector<std::pair<int, int>> regions;   // (begin, width)
-  };
-
-  static EncodeTables build_encode_tables(const kernel::Machine& m) {
-    EncodeTables et;
-    et.regions = m.layout().regions();
-    if (et.regions.size() > 64) return et;  // mask path capped at 64 regions
-    et.slot_mask.assign(static_cast<std::size_t>(m.layout().size()), 0);
-    for (std::size_t k = 0; k < et.regions.size(); ++k)
-      for (int i = 0; i < et.regions[k].second; ++i)
-        et.slot_mask[static_cast<std::size_t>(et.regions[k].first + i)] =
-            std::uint64_t{1} << k;
-    et.supported = true;
-    return et;
-  }
-
   BcTables tb_;
-  EncodeTables encode_ = build_encode_tables(*m_);
 };
 
 }  // namespace

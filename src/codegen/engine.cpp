@@ -57,8 +57,7 @@ class SkipSink final : public kernel::SuccSink {
 
 /// The kernel interpreter behind the seam. It has no native skip, so
 /// skipped candidates are still mutated and emitted, then dropped at the
-/// sink; it has no resume token (it clears the caller's) and no
-/// specialized store path.
+/// sink; it has no resume token (it clears the caller's).
 class InterpEngine final : public Engine {
  public:
   explicit InterpEngine(const kernel::Machine& m) : Engine(m) {}

@@ -1,5 +1,7 @@
 // Successor-generation engines: the one seam every search generates
-// successors through.
+// successors through. An engine only generates successors; storing them
+// (COLLAPSE delta keys from the undo log, the visited probe) is the
+// search's, the same code under every engine.
 //
 // The kernel interprets the compiled CFG on every transition; InterpEngine
 // (EngineKind::Interp) puts that interpreter behind the seam unchanged. The
@@ -113,31 +115,6 @@ class Engine {
   }
   static std::uint32_t resume_base(std::uint64_t tok) {
     return static_cast<std::uint32_t>(tok);
-  }
-
-  /// Layout-specialized store path. When supported (layouts with at most 64
-  /// COLLAPSE regions), the engine serves the two per-stored-state walks the
-  /// generic compressor pays on every delta re-intern: mapping the undo log
-  /// to the set of dirtied regions, and hashing a dirty region's value span.
-  /// Both must be bit-exact with the kernel (dirty set == regions owning the
-  /// undone slots; hash == support::fast_hash64 over the region bytes): the
-  /// compressor derives stripe choice, fingerprint, and probe sequence --
-  /// and therefore every component id and encoded key byte -- from that
-  /// hash, so a divergent hash would split identical components across
-  /// stripes and break visited-set identity.
-  virtual bool encode_support() const { return false; }
-  /// Bitmask of the regions owning the slots in `undo` (bit k = region k).
-  virtual std::uint64_t dirty_regions(
-      const std::pair<int, kernel::Value>* undo, std::size_t n) const {
-    (void)undo;
-    (void)n;
-    return 0;
-  }
-  /// fast_hash64 of region `r`'s value span in `mem`.
-  virtual std::uint64_t region_hash(const kernel::Value* mem, int r) const {
-    (void)mem;
-    (void)r;
-    return 0;
   }
 
  protected:

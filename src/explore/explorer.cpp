@@ -113,7 +113,7 @@ class FlatRun {
         opt_(opt),
         eng_(*opt.engine),
         visited_(opt.bitstate, opt.bitstate_bytes, seed),
-        keys_(m.layout(), *opt.engine),
+        keys_(m.layout()),
         seed_(seed),
         // The pipelined probe pays per-candidate bookkeeping to overlap the
         // store's cache misses with the next candidates' generation. Only

@@ -72,10 +72,10 @@ struct Options {
   obs::Observer* obs = nullptr;
 
   /// Successor engine (codegen::make_engine) every search mode generates
-  /// through, including the POR ample probe and chosen expansion; engines
-  /// with encode_support() additionally serve the COLLAPSE delta store path.
-  /// Engines are drop-in equivalent (same successors, same order, same
-  /// verdicts). Null means the interpreter: explore() then builds an
+  /// through, including the POR ample probe and chosen expansion. It only
+  /// generates: COLLAPSE keys come from the search's compressor whatever the
+  /// engine. Engines are drop-in equivalent (same successors, same order,
+  /// same verdicts). Null means the interpreter: explore() then builds an
   /// InterpEngine for the call. Not owned; must outlive the exploration.
   const codegen::Engine* engine = nullptr;
 

@@ -26,6 +26,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <mutex>
 #include <thread>
 
@@ -544,6 +545,7 @@ Result run_swarm(const kernel::Machine& m, const Options& opt, int threads) {
   const auto t0 = std::chrono::steady_clock::now();
   std::atomic<bool> stop{false};
   std::vector<Result> results(static_cast<std::size_t>(threads));
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(threads));
   {
     std::vector<std::thread> ts;
     ts.reserve(static_cast<std::size_t>(threads));
@@ -557,13 +559,21 @@ Result run_swarm(const kernel::Machine& m, const Options& opt, int threads) {
         // sequential bitstate verdict is always among the merged ones.
         const std::uint64_t seed =
             w == 0 ? 0 : avalanche64(0x5eed5eed5eedull + static_cast<std::uint64_t>(w));
-        Result r = run_single(m, o, seed, &stop);
-        if (r.violation) stop.store(true, std::memory_order_release);
-        results[static_cast<std::size_t>(w)] = std::move(r);
+        try {
+          Result r = run_single(m, o, seed, &stop);
+          if (r.violation) stop.store(true, std::memory_order_release);
+          results[static_cast<std::size_t>(w)] = std::move(r);
+        } catch (...) {
+          // A ModelError stops the swarm and reaches the caller's thread.
+          errors[static_cast<std::size_t>(w)] = std::current_exception();
+          stop.store(true, std::memory_order_release);
+        }
       });
     }
     for (std::thread& t : ts) t.join();
   }
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
 
   // Merge: a violation found by any worker is a real counterexample (the
   // first one encountered wins); otherwise the verdict is the union of N

@@ -25,6 +25,7 @@
 
 #include "explore/flat_store.h"
 #include "support/hash.h"
+#include "support/panic.h"
 
 namespace pnp::explore {
 
@@ -41,7 +42,11 @@ class VisitedSet {
         seed_(seed),
         filter_bytes_(bitstate ? bytes : 0),
         bits_(static_cast<std::size_t>(filter_bytes_),
-              ZeroBuf::Pages::Small) {}
+              ZeroBuf::Pages::Small) {
+    // insert() takes its bit indices modulo the filter's size in bits
+    PNP_CHECK(!bitstate || bytes > 0,
+              "bitstate filter of 0 bytes: bitstate_bytes must be positive");
+  }
 
   /// Pipelined insert for callers that can overlap the probe's cache misses
   /// with other work (exact mode only): stage() hashes the key and prefetches

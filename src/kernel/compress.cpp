@@ -1,5 +1,6 @@
 #include "kernel/compress.h"
 
+#include <bit>
 #include <cstring>
 
 #include "support/hash.h"
@@ -37,6 +38,13 @@ std::uint32_t read_varint(std::span<const std::uint8_t> key, std::size_t& at) {
   }
 }
 
+// The hash a component is interned under: stripe, fingerprint and probe
+// start all derive from it.
+inline std::uint64_t component_hash(const Value* vals, int width) {
+  return fast_hash64({reinterpret_cast<const std::uint8_t*>(vals),
+                      static_cast<std::size_t>(width) * sizeof(Value)});
+}
+
 }  // namespace
 
 StateCompressor::StateCompressor(const Layout& lay, int stripes)
@@ -60,11 +68,11 @@ StateCompressor::StateCompressor(const Layout& lay, int stripes)
     }
     regions_.push_back(std::move(r));
   }
-  region_of_slot_.assign(static_cast<std::size_t>(state_size_), -1);
+  slot_bit_.assign(static_cast<std::size_t>(state_size_), 0);
   for (std::size_t k = 0; k < regions_.size(); ++k)
     for (int i = 0; i < regions_[k].width; ++i)
-      region_of_slot_[static_cast<std::size_t>(regions_[k].begin + i)] =
-          static_cast<int>(k);
+      slot_bit_[static_cast<std::size_t>(regions_[k].begin + i)] =
+          std::uint64_t{1} << (k % 64);
 }
 
 void StateCompressor::grow(Stripe& st) {
@@ -83,10 +91,7 @@ void StateCompressor::grow(Stripe& st) {
 }
 
 std::uint32_t StateCompressor::intern(Region& r, const Value* vals) {
-  const std::size_t width = static_cast<std::size_t>(r.width);
-  const std::uint64_t h = fast_hash64(
-      {reinterpret_cast<const std::uint8_t*>(vals), width * sizeof(Value)});
-  return intern_hashed(r, vals, h);
+  return intern_hashed(r, vals, component_hash(vals, r.width));
 }
 
 std::uint32_t StateCompressor::intern_hashed(Region& r, const Value* vals,
@@ -152,41 +157,27 @@ void StateCompressor::compress_full(const State& s,
   out.resize(static_cast<std::size_t>(p - out.data()));
 }
 
-void StateCompressor::compress_delta(const State& s,
-                                     const std::uint32_t* prev_ids,
-                                     const std::uint8_t* dirty,
-                                     std::vector<std::uint8_t>& out,
-                                     std::uint32_t* ids) {
+void StateCompressor::compress_delta(
+    const State& s, const std::uint32_t* prev_ids,
+    std::span<const std::pair<int, Value>> undo, std::uint64_t* hash_scratch,
+    std::vector<std::uint8_t>& out, std::uint32_t* ids) {
   PNP_CHECK(static_cast<int>(s.mem.size()) == state_size_,
             "compress: state size does not match layout");
-  out.resize(key_bound(regions_.size()));
+  std::uint64_t dirty = 0;
+  for (const auto& [slot, old] : undo)
+    dirty |= slot_bit_[static_cast<std::size_t>(slot)];
+  const std::size_t n = regions_.size();
+  for (std::uint64_t rest = dirty; rest != 0; rest &= rest - 1)
+    for (std::size_t k = static_cast<std::size_t>(std::countr_zero(rest));
+         k < n; k += 64)
+      hash_scratch[k] =
+          component_hash(s.mem.data() + regions_[k].begin, regions_[k].width);
+  out.resize(key_bound(n));
   std::uint8_t* p = out.data();
-  for (std::size_t k = 0; k < regions_.size(); ++k) {
-    ids[k] = dirty[k] ? intern(regions_[k], s.mem.data() + regions_[k].begin)
-                      : prev_ids[k];
-    p = write_varint(p, ids[k]);
-  }
-  PNP_CHECK(s.atomic_pid < 255, "compress: atomic pid out of byte range");
-  *p++ = static_cast<std::uint8_t>(s.atomic_pid & 0xff);
-  out.resize(static_cast<std::size_t>(p - out.data()));
-}
-
-void StateCompressor::compress_delta_masked(const State& s,
-                                            const std::uint32_t* prev_ids,
-                                            std::uint64_t dirty,
-                                            const std::uint64_t* hashes,
-                                            std::vector<std::uint8_t>& out,
-                                            std::uint32_t* ids) {
-  PNP_CHECK(static_cast<int>(s.mem.size()) == state_size_,
-            "compress: state size does not match layout");
-  PNP_CHECK(regions_.size() <= 64,
-            "compress_delta_masked: layout exceeds 64 regions");
-  out.resize(key_bound(regions_.size()));
-  std::uint8_t* p = out.data();
-  for (std::size_t k = 0; k < regions_.size(); ++k) {
-    ids[k] = (dirty >> k) & 1u
+  for (std::size_t k = 0; k < n; ++k) {
+    ids[k] = (dirty >> (k % 64)) & 1u
                  ? intern_hashed(regions_[k], s.mem.data() + regions_[k].begin,
-                                 hashes[k])
+                                 hash_scratch[k])
                  : prev_ids[k];
     p = write_varint(p, ids[k]);
   }

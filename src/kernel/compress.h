@@ -21,6 +21,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "kernel/state.h"
@@ -122,31 +123,21 @@ class StateCompressor {
   void compress_full(const State& s, std::vector<std::uint8_t>& out,
                      std::uint32_t* ids);
 
-  /// Delta compression -- the core COLLAPSE win. `s` differs from a
-  /// previously compressed state only in the regions flagged in `dirty`
-  /// (n_regions() entries): clean regions reuse `prev_ids` without touching
-  /// their slots, dirty ones are re-interned. Produces exactly the bytes
-  /// compress() would; `ids` receives s's per-region ids. Callers derive
-  /// `dirty` from the successor generator's undo log via region_of_slot().
+  /// Delta compression -- the core COLLAPSE win. `s` is a successor of the
+  /// state whose region ids are `prev_ids`, and `undo` is the successor
+  /// generator's (slot, previous value) log, which lists every slot the
+  /// step wrote. The log folds through a slot -> bit table (region k on bit
+  /// k mod 64) into a dirty mask; the dirty regions are hashed into
+  /// `hash_scratch` (n_regions() entries) in a loop of their own, then
+  /// re-interned, and clean regions reuse `prev_ids` without touching their
+  /// slots. Past 64 regions a dirty bit also covers the clean regions that
+  /// share it; re-interning those returns the ids they already have.
+  /// Produces exactly the bytes compress() would; `ids` receives s's
+  /// per-region ids.
   void compress_delta(const State& s, const std::uint32_t* prev_ids,
-                      const std::uint8_t* dirty,
+                      std::span<const std::pair<int, Value>> undo,
+                      std::uint64_t* hash_scratch,
                       std::vector<std::uint8_t>& out, std::uint32_t* ids);
-
-  /// compress_delta() fed by a codegen engine's specialized store path: the
-  /// dirty set arrives as a region bitmask (so layouts are capped at 64
-  /// regions for this entry) and each dirty region's hash is precomputed by
-  /// the engine's open-coded layout walk instead of the generic
-  /// fast_hash64 loop here. `hashes[k]` must be bit-exact fast_hash64 of
-  /// region k's value span whenever bit k of `dirty` is set -- ids, stripe
-  /// placement, and the output bytes are derived from it and must match
-  /// what compress() would produce.
-  void compress_delta_masked(const State& s, const std::uint32_t* prev_ids,
-                             std::uint64_t dirty, const std::uint64_t* hashes,
-                             std::vector<std::uint8_t>& out,
-                             std::uint32_t* ids);
-
-  /// Region index covering each state slot (regions partition the slots).
-  const std::vector<int>& region_of_slot() const { return region_of_slot_; }
 
   /// Exact inverse of compress() for keys produced by this compressor.
   State decompress(std::span<const std::uint8_t> key) const;
@@ -204,7 +195,7 @@ class StateCompressor {
   static void grow(Stripe& st);
 
   std::vector<Region> regions_;
-  std::vector<int> region_of_slot_;
+  std::vector<std::uint64_t> slot_bit_;  // per slot: bit (region mod 64)
   int n_stripes_;
   bool concurrent_;
   int state_size_;

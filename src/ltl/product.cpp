@@ -95,7 +95,7 @@ class ProductSearch {
       : budget_(budget_of(opt)),
         gov_(budget_, static_cast<std::uint32_t>(m.layout().size()), stop),
         m_(m), ctx_(ctx), ba_(ba), opt_(opt), engine_(engine),
-        perm_seed_(perm_seed), keys_(m.layout(), engine),
+        perm_seed_(perm_seed), keys_(m.layout()),
         store_(/*marked=*/true),
         nr_(static_cast<std::size_t>(keys_.n_regions())) {
     PNP_CHECK(ctx.size() <= 64, "at most 64 propositions supported");

@@ -4,7 +4,9 @@
 // equivalence with the kernel interpreter -- byte-identical successor
 // streams, Step metadata, undo coverage, verdicts, state counts, and
 // counterexample trails (the contract at the top of codegen/engine.h).
-// Four layers check that promise:
+// An engine only generates successors; the search's compressor keys them
+// from the undo log whatever the engine, so undo coverage is part of the
+// promise. Seven layers check it:
 //   (1) successor-level: full emission streams (state bytes, atomic holder,
 //       step fields, undo coverage) compared emit by emit against the
 //       interpreter, over BFS-sampled reachable states and random walks, on
@@ -20,7 +22,10 @@
 //   (4) the fallback ladder: no-toolchain and failing-compiler AOT degrade
 //       to bytecode (noted), or raise ModelError under strict; cache hits
 //       are content-addressed, and concurrent cold builds of one machine
-//       all load the one published module.
+//       all load the one published module;
+//   (5) and (6) the engine-backed POR and LTL product searches;
+//   (7) a layout past 64 COLLAPSE regions, whose dirty bits alias, stores
+//       the same states under every engine.
 //
 // AOT cases self-skip when the host has no working toolchain, which keeps
 // the CI no-toolchain lane meaningful (it still runs every fallback test).
@@ -1079,71 +1084,52 @@ TEST(EngineLtl, ProductSearchAndTrailsMatchAcrossEnginesAndThreads) {
   }
 }
 
-// -- (7) the specialized encode seam -----------------------------------------
+// -- (7) layouts past 64 regions ---------------------------------------------
 
-TEST(EngineEncode, DirtyMasksAndRegionHashesAreBitExact) {
-  // The compressor derives stripe choice, fingerprint, and probe sequence
-  // from the region hash, so the engine's open-coded hash must be bit-exact
-  // fast_hash64 and the undo->region mask must match region_of_slot -- any
-  // drift would split identical components and corrupt visited-set
-  // identity (the search-level tests would see inflated state counts; this
-  // pins the seam directly).
+TEST(EngineWideLayout, EveryEngineStoresTheSameStatesPast64Regions) {
+  // 72 COLLAPSE regions: the compressor's dirty mask puts region k on bit
+  // k mod 64, so its delta step re-interns aliased clean regions (which get
+  // back the ids they have). Every engine must still store the 141 states.
+  // The AOT engine is built strict: only a host without a toolchain skips.
+  model::SystemSpec sys = pml::parse(
+      "byte turn; chan q = [1] of { byte };\n"
+      "active [70] proctype P() { turn == _pid -> turn++ }\n");
+  const Machine m(sys);
+  ASSERT_EQ(m.layout().regions().size(), 72u);
   TempDir cache;
-  std::vector<std::unique_ptr<TestModel>> models;
-  models.push_back(make_fig13());
-  models.push_back(make_fault_counter("duplicating_fifo(2)"));
-  for (const auto& tp : models) {
-    const TestModel& t = *tp;
-    const auto regions = t.m->layout().regions();
-    ASSERT_LE(regions.size(), 64u) << t.name;
-    const auto bc = make_bytecode(*t.m);
-    const auto aot = try_aot(*t.m, cache.str());
-    const std::vector<State> sample = reachable_states(*t.m, 300);
-    for (const codegen::Engine* eng :
-         {static_cast<const codegen::Engine*>(bc.get()),
-          static_cast<const codegen::Engine*>(aot.get())}) {
-      if (eng == nullptr) continue;
-      const std::string what =
-          t.name + "/" + codegen::engine_kind_name(eng->kind());
-      ASSERT_TRUE(eng->encode_support()) << what;
-      for (const State& s : sample) {
-        for (std::size_t r = 0; r < regions.size(); ++r) {
-          const auto [begin, width] = regions[r];
-          const std::uint64_t want = fast_hash64(
-              {reinterpret_cast<const std::uint8_t*>(s.mem.data() + begin),
-               static_cast<std::size_t>(width) * sizeof(expr::Value)});
-          ASSERT_EQ(want, eng->region_hash(s.mem.data(), static_cast<int>(r)))
-              << what << " region " << r;
-        }
-      }
-      // one-slot undo logs: each slot dirties exactly its owning region
-      for (std::size_t r = 0; r < regions.size(); ++r) {
-        const auto [begin, width] = regions[r];
-        for (int slot = begin; slot < begin + width; ++slot) {
-          const std::pair<int, expr::Value> undo[] = {{slot, 0}};
-          EXPECT_EQ(eng->dirty_regions(undo, 1), std::uint64_t{1} << r)
-              << what << " slot " << slot;
-        }
-      }
-      // a full-state undo log dirties every region
-      std::vector<std::pair<int, expr::Value>> all;
-      for (int slot = 0; slot < t.m->layout().size(); ++slot)
-        all.push_back({slot, 0});
-      EXPECT_EQ(eng->dirty_regions(all.data(), all.size()),
-                regions.size() == 64
-                    ? ~std::uint64_t{0}
-                    : (std::uint64_t{1} << regions.size()) - 1)
-          << what;
-    }
+  codegen::EngineOptions ao;
+  ao.kind = codegen::EngineKind::Aot;
+  ao.cache_dir = cache.str();
+  ao.strict = true;
+  std::unique_ptr<codegen::Engine> aot;
+  try {
+    aot = codegen::make_engine(m, ao);
+  } catch (const ModelError& e) {
+    if (codegen::describe_engines(cache.str()).find("[probe ok]") !=
+        std::string::npos)
+      FAIL() << "strict aot build failed with a working toolchain: "
+             << e.what();
   }
+  const auto interp = make_interp(m);
+  const auto bc = make_bytecode(m);
+  for (const codegen::Engine* eng : {interp.get(), bc.get(), aot.get()}) {
+    if (eng == nullptr) continue;
+    explore::Options o;
+    o.engine = eng;
+    const explore::Result r = explore::explore(m, o);
+    const char* what = codegen::engine_kind_name(eng->kind());
+    EXPECT_TRUE(r.ok()) << what;
+    EXPECT_TRUE(r.stats.complete) << what;
+    EXPECT_EQ(r.stats.states_stored, 141u) << what;
+  }
+  SKIP_WITHOUT_AOT(aot);
 }
 
 TEST(EngineCheckpoint, BfsCutPortableAcrossEnginesWithDeltaEncode) {
   // POR-less BFS cut under one engine, resumed under another: the resumed
-  // leg re-interns restored raw states and then runs the resuming engine's
-  // specialized delta path (dirty_regions + region_hash feeding
-  // compress_delta_masked), so equal final counts certify the new encode
-  // path against both the interpreter and the other backend.
+  // leg re-interns restored raw states, then delta-compresses the resuming
+  // engine's successors from their undo logs, so equal final counts
+  // certify both engines' undo coverage against the interpreter's.
   TempDir cache;
   const auto tp = make_fig13();
   const TestModel& t = *tp;

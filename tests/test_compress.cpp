@@ -57,6 +57,13 @@ BridgeModel make_bridge(bool v2) {
   return b;
 }
 
+/// A layout past 64 COLLAPSE regions (72).
+constexpr const char* kWideLayout = R"(
+byte turn;
+chan q = [1] of { byte };
+active [70] proctype P() { turn == _pid -> turn++ }
+)";
+
 /// Collects up to `limit` distinct reachable states, breadth-first.
 std::vector<State> reachable_states(const Machine& m, std::size_t limit) {
   std::vector<State> out;
@@ -135,7 +142,6 @@ namespace {
 /// a from-scratch compress() -- the property FlatRun's visited inserts rely
 /// on. Also BFS-extends the frontier so deltas chain across generations.
 struct DeltaCheckSink final : kernel::SuccSink {
-  const Machine& m;
   StateCompressor& c;
   kernel::SuccScratch& scratch;
   const std::vector<std::uint32_t>& parent_ids;
@@ -143,26 +149,22 @@ struct DeltaCheckSink final : kernel::SuccSink {
   std::unordered_set<std::string>& seen;
   std::size_t& checked;
 
-  std::vector<std::uint8_t> delta_key, full_key, dirty;
+  std::vector<std::uint8_t> delta_key, full_key;
   std::vector<std::uint32_t> ids;
+  std::vector<std::uint64_t> hashes;
 
-  DeltaCheckSink(const Machine& m, StateCompressor& c,
-                 kernel::SuccScratch& scratch,
+  DeltaCheckSink(StateCompressor& c, kernel::SuccScratch& scratch,
                  const std::vector<std::uint32_t>& parent_ids,
                  std::vector<std::pair<State, std::vector<std::uint32_t>>>& f,
                  std::unordered_set<std::string>& seen, std::size_t& checked)
-      : m(m), c(c), scratch(scratch), parent_ids(parent_ids), frontier(f),
+      : c(c), scratch(scratch), parent_ids(parent_ids), frontier(f),
         seen(seen), checked(checked),
-        dirty(static_cast<std::size_t>(c.n_regions())),
-        ids(static_cast<std::size_t>(c.n_regions())) {}
+        ids(static_cast<std::size_t>(c.n_regions())),
+        hashes(static_cast<std::size_t>(c.n_regions())) {}
 
   bool on_successor(const State& ns, const kernel::Step&) override {
-    const std::vector<int>& reg = c.region_of_slot();
-    std::fill(dirty.begin(), dirty.end(), std::uint8_t{0});
-    for (const auto& [slot, old] : scratch.undo)
-      dirty[static_cast<std::size_t>(reg[static_cast<std::size_t>(slot)])] = 1;
-    c.compress_delta(ns, parent_ids.data(), dirty.data(), delta_key,
-                     ids.data());
+    c.compress_delta(ns, parent_ids.data(), scratch.undo, hashes.data(),
+                     delta_key, ids.data());
     c.compress(ns, full_key);
     EXPECT_EQ(delta_key, full_key);
     ++checked;
@@ -172,13 +174,10 @@ struct DeltaCheckSink final : kernel::SuccSink {
   }
 };
 
-}  // namespace
-
-TEST(Compress, DeltaMatchesFullOnRealSuccessors) {
-  const BridgeModel b = make_bridge(/*v2=*/false);
-  const Machine& m = *b.m;
+/// Runs DeltaCheckSink over `m`'s reachable states, breadth-first; returns
+/// the successors checked and sets `*explored` to the states expanded.
+std::size_t check_deltas(const Machine& m, std::size_t* explored) {
   StateCompressor c(m.layout());
-
   std::vector<std::pair<State, std::vector<std::uint32_t>>> frontier;
   std::unordered_set<std::string> seen;
   std::size_t checked = 0;
@@ -195,11 +194,30 @@ TEST(Compress, DeltaMatchesFullOnRealSuccessors) {
     // Copy out: the sink may grow `frontier`, invalidating references.
     const State parent = frontier[head].first;
     const std::vector<std::uint32_t> parent_ids = frontier[head].second;
-    DeltaCheckSink sink(m, c, scratch, parent_ids, frontier, seen, checked);
+    DeltaCheckSink sink(c, scratch, parent_ids, frontier, seen, checked);
     m.visit_successors(parent, scratch, sink);
   }
-  EXPECT_GT(checked, 5000u);
-  EXPECT_GT(frontier.size(), 1000u);
+  *explored = frontier.size();
+  return checked;
+}
+
+}  // namespace
+
+TEST(Compress, DeltaMatchesFullOnRealSuccessors) {
+  const BridgeModel b = make_bridge(/*v2=*/false);
+  std::size_t explored = 0;
+  EXPECT_GT(check_deltas(*b.m, &explored), 5000u);
+  EXPECT_GT(explored, 1000u);
+
+  // 72 regions (globals, 70 frames, one queue): region k shares dirty bit
+  // k mod 64 with region k + 64. Every step writes the globals (region 0),
+  // so it also re-interns process 63's frame (region 64), clean or not, and
+  // a step of process 0 (region 1) re-interns process 64's (region 65).
+  model::SystemSpec sys = pml::parse(kWideLayout);
+  const Machine wide(sys);
+  ASSERT_EQ(wide.layout().regions().size(), 72u);
+  EXPECT_EQ(check_deltas(wide, &explored), 140u);
+  EXPECT_EQ(explored, 141u);
 }
 
 TEST(Compress, ConcurrentInterningStaysExact) {

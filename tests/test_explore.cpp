@@ -210,6 +210,21 @@ TEST(Explore, BitstateFilterCostsOnlyThePagesItTouches) {
       << sampler.peak << " B";
 }
 
+TEST(Explore, ZeroByteBitstateFilterIsAModelError) {
+  // insert() takes its bit indices modulo the filter's size in bits, so a
+  // 0-byte filter died of SIGFPE at the first insert, alone or in a swarm.
+  model::SystemSpec sys =
+      pml::parse("byte x; active proctype P() { x < 3 -> x++ }");
+  const kernel::Machine m(sys);
+  for (const int threads : {1, 2}) {
+    Options o;
+    o.bitstate = true;
+    o.bitstate_bytes = 0;
+    o.threads = threads;
+    EXPECT_THROW(explore(m, o), ModelError) << "threads=" << threads;
+  }
+}
+
 TEST(Explore, BfsAndDfsAgreeOnVerdict) {
   for (int id = 0; id < 4; ++id) {
     const Scenario sc = make_scenario(id);

@@ -237,6 +237,26 @@ void expect_same_verdict(const kernel::Machine& m, const char* tag,
       << tag << ": verdict line must be byte-identical";
 }
 
+TEST(Session, ZeroByteBitstateFilterIsAModelError) {
+  // max_states stops the exact rung, so the ladder reaches the bitstate
+  // rung, whose 0-byte filter killed the process with SIGFPE.
+  model::SystemSpec sys =
+      pml::parse("byte x; active proctype P() { x < 3 -> x++ }");
+  const kernel::Machine m(sys);
+  for (const int threads : {1, 2}) {
+    RunConfig cfg = quiet_config();
+    cfg.bitstate_bytes = 0;
+    cfg.max_states = 2;
+    cfg.threads = threads;
+    Session session(cfg);
+    EXPECT_THROW(session.verify_machine(
+                     m, "zero-filter",
+                     [](const std::string&) { return expr::kNoExpr; }),
+                 ModelError)
+        << "threads=" << threads;
+  }
+}
+
 TEST(Session, VerdictsMatchLegacyOnFig13) {
   bridge::BridgeConfig cfg;
   ModelGenerator gen;
